@@ -44,11 +44,13 @@ from .quiver import (
 )
 from .rigidity import (
     RigidityReport,
+    agreement,
     endpoint_scan,
     omega_period,
     rd_closed,
     rd_oracle,
     se_oracle,
+    sweep_types,
 )
 
 __version__ = "0.1.0"
@@ -66,6 +68,7 @@ __all__ = [
     "SPINE_MINUS",
     "SPINE_PLUS",
     "Vertex",
+    "agreement",
     "endpoint_scan",
     "fib_decompose",
     "group_generator",
@@ -87,6 +90,7 @@ __all__ = [
     "rigdim_closed",
     "rigdim_verify",
     "se_oracle",
+    "sweep_types",
     "tau",
     "weight_sequence",
     "weighted_fibonacci",

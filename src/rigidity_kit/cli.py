@@ -6,8 +6,9 @@ dimension of the single-orbit families) and ``hammock`` (hammock and
 orbit-quiver export, including DOT).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid type spec.
-Output is deterministic for identical configurations; sweep workers are
-capped by the RIGIDITY_KIT_THREADS environment variable.
+Output is deterministic for identical configurations.  ``verify`` takes
+its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
+in one process, through ``rigidity.agreement``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .orthogonal import rigdim_closed, rigdim_verify
@@ -33,9 +32,10 @@ from .quiver import (
     hammock_plus,
     orbit_quiver_dot,
 )
-from .rigidity import RigidityReport, rd_closed, rd_oracle
+from .rigidity import RigidityReport, agreement, rd_closed, rd_oracle, sweep_types
 
-_U_PATTERN = re.compile(r"^\d+(/\d+)?$")
+# a natural number or a fraction with a nonzero denominator
+_U_PATTERN = re.compile(r"^\d+(/0*[1-9]\d*)?$")
 
 
 def parse_u(text: str) -> Fraction:
@@ -92,16 +92,6 @@ def report_json(report: RigidityReport) -> dict:
         "witness": report.witness,
         "domdim_bound": report.domdim_bound,
     }
-
-
-def worker_count() -> int:
-    env = os.environ.get("RIGIDITY_KIT_THREADS")
-    if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"RIGIDITY_KIT_THREADS must be >= 1, got {env}")
-        return count
-    return os.cpu_count() or 1
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -277,77 +267,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_types(args: argparse.Namespace) -> list[AlgebraType]:
-    types: list[AlgebraType] = []
-    if args.delta == "A":
-        if args.s == 1:
-            if not args.rank_max or not args.n_max:
-                raise ValueError("type A s=1 sweeps need --rank-max and --n-max")
-            for rank in range(1, args.rank_max + 1):
-                for n in range(1, args.n_max + 1):
-                    types.append(AlgebraType.from_shift("A", rank, n, 1))
-        else:
-            if not args.rank_max or not args.u_max:
-                raise ValueError("type A s=2 sweeps need --rank-max and --u-max")
-            for rank in range(3, args.rank_max + 1, 2):
-                for u in range(1, args.u_max + 1):
-                    types.append(AlgebraType.create("A", rank, u, 2))
-    elif args.delta == "D":
-        if not args.u_max:
-            raise ValueError("type D sweeps need --u-max")
-        if args.fractional:
-            if args.s != 1:
-                raise ValueError("fractional type D sweeps need --s 1")
-            if not args.rank_max:
-                raise ValueError("fractional type D sweeps need --rank-max")
-            for rank in range(6, args.rank_max + 1, 3):
-                for v in range(1, args.u_max + 1):
-                    if v % 3 != 0:
-                        types.append(AlgebraType.create("D", rank, Fraction(v, 3), 1))
-        elif args.s == 3:
-            for u in range(1, args.u_max + 1):
-                types.append(AlgebraType.create("D", 4, u, 3))
-        else:
-            if not args.rank_max:
-                raise ValueError("type D sweeps need --rank-max")
-            for rank in range(4, args.rank_max + 1):
-                for u in range(1, args.u_max + 1):
-                    types.append(AlgebraType.create("D", rank, u, args.s))
-    else:
-        if not args.rank or not args.u_max:
-            raise ValueError("type E sweeps need --rank and --u-max")
-        for u in range(1, args.u_max + 1):
-            types.append(AlgebraType.create("E", args.rank, u, args.s))
-    return types
-
-
-def _verify_labels(atype: AlgebraType):
-    if atype.diagram.family == "A":
-        m = atype.diagram.rank + 1
-        return [t for t in range(1, m // 2 + 1)]
-    return list(atype.diagram.labels)
-
-
-def _verify_one(atype: AlgebraType) -> tuple[int, list[str]]:
-    mismatches = []
-    checked = 0
-    for t in _verify_labels(atype):
-        closed = rd_closed(atype, t)
-        oracle = rd_oracle(atype, Vertex(0, t))
-        checked += 1
-        if closed.rd != oracle.rd:
-            mismatches.append(
-                f"{atype.describe()} t={label_str(t)}: closed={closed.rd} oracle={oracle.rd}"
-            )
-    return checked, mismatches
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    types = _sweep_types(args)
-    with ThreadPoolExecutor(max_workers=worker_count()) as executor:
-        results = list(executor.map(_verify_one, types))
-    checked = sum(c for c, _ in results)
-    mismatches = [line for _, lines in results for line in lines]
+    types = sweep_types(
+        args.delta, args.s, rank=args.rank, rank_max=args.rank_max,
+        n_max=args.n_max, u_max=args.u_max, fractional=args.fractional,
+    )
+    checked, mismatches = agreement(types)
     if args.format == "json":
         payload = {
             "types": len(types),

@@ -205,21 +205,13 @@ def omega(diagram: Diagram, v: Vertex) -> Vertex:
 
 
 def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
+    """Inverse of ``omega``: it maps (x, t) to (x + d(t), sigma(t)), so undo that."""
     diagram.check_label(v.t)
-    if diagram.family == "A":
-        m = diagram.rank + 1
-        return Vertex(v.x - (m - v.t), m - v.t)
-    if diagram.family == "D":
-        m = diagram.rank - 1
-        if v.t in (SPINE_PLUS, SPINE_MINUS):
-            t = _spine_flip(v.t) if m % 2 == 0 else v.t
-            return Vertex(v.x - m, t)
-        return Vertex(v.x - m, v.t)
-    if diagram.rank == 6:
-        if v.t == 6:
-            return Vertex(v.x - 6, 6)
-        return Vertex(v.x + v.t - 9, 6 - v.t)
-    return Vertex(v.x - diagram.h_star, v.t)
+    for t in diagram.labels:
+        image = omega(diagram, Vertex(0, t))
+        if image.t == v.t:
+            return Vertex(v.x - image.x, t)
+    raise AssertionError("omega permutes the labels")  # pragma: no cover
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
   base vertex.
 
 Agreement of the two over full parameter sweeps is the package's central
-acceptance property.
+acceptance property; ``sweep_types`` names the sweeps and ``agreement``
+compares the engines over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .euclid import weight_sequence
 from .quiver import (
@@ -31,11 +33,13 @@ from .quiver import (
 
 __all__ = [
     "RigidityReport",
+    "agreement",
     "endpoint_scan",
     "omega_period",
     "rd_closed",
     "rd_oracle",
     "se_oracle",
+    "sweep_types",
 ]
 
 
@@ -313,3 +317,85 @@ def endpoint_scan(atype: AlgebraType) -> tuple[tuple[int, int], ...]:
             endpoints.append((t, rd))
         previous = rd
     return tuple(endpoints)
+
+
+def sweep_types(
+    delta: str, s: int, *, rank: int | None = None, rank_max: int | None = None,
+    n_max: int | None = None, u_max: int | None = None, fractional: bool = False,
+) -> list[AlgebraType]:
+    """The algebra types of one named sweep, in sweep order.
+
+    Type A runs ranks 1..rank_max over raw shifts 1..n_max (s=1) or odd ranks
+    3..rank_max over u = 1..u_max (s=2); type D runs ranks 4..rank_max (D4
+    alone for s=3), or with ``fractional`` ranks 6, 9, ... over u = v/3 with
+    3 not dividing v; type E runs ``rank`` alone.  Missing bounds, invalid
+    types and an empty grid raise ``ValueError``.
+    """
+    types: list[AlgebraType] = []
+    if delta == "A":
+        if s == 1:
+            if not rank_max or not n_max:
+                raise ValueError("type A s=1 sweeps need --rank-max and --n-max")
+            for r in range(1, rank_max + 1):
+                for n in range(1, n_max + 1):
+                    types.append(AlgebraType.from_shift("A", r, n, 1))
+        else:
+            if not rank_max or not u_max:
+                raise ValueError(f"type A s={s} sweeps need --rank-max and --u-max")
+            for r in range(3, rank_max + 1, 2):
+                for u in range(1, u_max + 1):
+                    types.append(AlgebraType.create("A", r, u, s))
+    elif delta == "D":
+        if not u_max:
+            raise ValueError("type D sweeps need --u-max")
+        if fractional:
+            if s != 1:
+                raise ValueError("fractional type D sweeps need --s 1")
+            if not rank_max:
+                raise ValueError("fractional type D sweeps need --rank-max")
+            for r in range(6, rank_max + 1, 3):
+                for v in range(1, u_max + 1):
+                    if v % 3 != 0:
+                        types.append(AlgebraType.create("D", r, Fraction(v, 3), 1))
+        elif s == 3:
+            for u in range(1, u_max + 1):
+                types.append(AlgebraType.create("D", 4, u, 3))
+        else:
+            if not rank_max:
+                raise ValueError("type D sweeps need --rank-max")
+            for r in range(4, rank_max + 1):
+                for u in range(1, u_max + 1):
+                    types.append(AlgebraType.create("D", r, u, s))
+    else:
+        if not rank or not u_max:
+            raise ValueError("type E sweeps need --rank and --u-max")
+        for u in range(1, u_max + 1):
+            types.append(AlgebraType.create("E", rank, u, s))
+    if not types:
+        raise ValueError("the sweep bounds leave no algebra type to check")
+    return types
+
+
+def agreement(types) -> tuple[int, list[str]]:
+    """Compare ``rd_closed`` with ``rd_oracle`` at every vertex (0, t) of ``types``.
+
+    Type A is checked on the labels t <= m/2 (m = rank + 1) only: omega maps
+    (0, t) to (t, m - t), so the other half repeats them.  Other families are
+    checked on every label.  Returns the number of vertices checked and one
+    line per disagreement.
+    """
+    checked = 0
+    mismatches = []
+    for atype in types:
+        labels = atype.diagram.labels
+        if atype.diagram.family == "A":
+            labels = labels[: (atype.diagram.rank + 1) // 2]
+        for t in labels:
+            closed = rd_closed(atype, t)
+            oracle = rd_oracle(atype, Vertex(0, t))
+            checked += 1
+            if closed.rd != oracle.rd:
+                mismatches.append(
+                    f"{atype.describe()} t={t}: closed={closed.rd} oracle={oracle.rd}"
+                )
+    return checked, mismatches

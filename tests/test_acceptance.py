@@ -14,6 +14,7 @@ from fractions import Fraction
 from rigidity_kit import (
     AlgebraType,
     Vertex,
+    agreement,
     hammock_minus,
     is_maximal_orthogonal,
     rd_closed,
@@ -22,6 +23,7 @@ from rigidity_kit import (
     rigdim_closed,
     rigdim_verify,
     se_oracle,
+    sweep_types,
     weight_sequence,
 )
 
@@ -40,88 +42,53 @@ def criterion(number: int, description: str, budget: float):
     assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s, budget {budget}s"
 
 
-def assert_engines_agree(atype: AlgebraType, labels) -> int:
-    checked = 0
-    for t in labels:
-        closed = rd_closed(atype, t)
-        oracle = rd_oracle(atype, Vertex(0, t))
-        assert oracle.rd is not None, (atype.describe(), t)
-        assert closed.rd == oracle.rd, (
-            f"{atype.describe()} t={t}: closed={closed.rd} oracle={oracle.rd}"
-        )
-        checked += 1
-    return checked
-
-
-def half_labels(atype: AlgebraType):
-    return range(1, (atype.diagram.rank + 1) // 2 + 1)
+def assert_agreement(types, expected: int) -> None:
+    checked, mismatches = agreement(types)
+    assert not mismatches, "; ".join(mismatches)
+    assert checked == expected
 
 
 def type_a_s1_sweep():
-    return [
-        AlgebraType.from_shift("A", m - 1, n, 1)
-        for m in range(2, 11)
-        for n in range(1, 31)
-    ]
+    return sweep_types("A", 1, rank_max=9, n_max=30)
 
 
 def type_a_s2_sweep():
-    return [
-        AlgebraType.create("A", 2 * p + 1, u, 2)
-        for p in range(1, 6)
-        for u in range(1, 7)
-    ]
+    return sweep_types("A", 2, rank_max=11, u_max=6)
 
 
 def type_d_sweep():
-    types = []
-    for m in range(3, 8):
-        for u in range(1, 6):
-            types.append(AlgebraType.create("D", m + 1, u, 1))
-    for w in range(2, 5):
-        for v in (1, 2, 4, 5):
-            types.append(AlgebraType.create("D", 3 * w, Fraction(v, 3), 1))
-    for m in range(3, 8):
-        for u in range(1, 6):
-            types.append(AlgebraType.create("D", m + 1, u, 2))
-    for u in range(1, 10):
-        types.append(AlgebraType.create("D", 4, u, 3))
-    return types
+    return (
+        sweep_types("D", 1, rank_max=8, u_max=5)
+        + sweep_types("D", 1, rank_max=12, u_max=5, fractional=True)
+        + sweep_types("D", 2, rank_max=8, u_max=5)
+        + sweep_types("D", 3, u_max=9)
+    )
 
 
 def test_criterion_01_agreement_type_a_untwisted():
     with criterion(1, "closed-form/oracle agreement, type A s=1", 30):
-        checked = 0
-        for atype in type_a_s1_sweep():
-            checked += assert_engines_agree(atype, half_labels(atype))
-        assert checked == 750
+        assert_agreement(type_a_s1_sweep(), 750)
 
 
 def test_criterion_02_agreement_type_a_twisted():
     with criterion(2, "closed-form/oracle agreement, type A s=2", 30):
-        checked = 0
-        for atype in type_a_s2_sweep():
-            checked += assert_engines_agree(atype, half_labels(atype))
-        assert checked == 120
+        assert_agreement(type_a_s2_sweep(), 120)
 
 
 def test_criterion_03_agreement_type_d():
     with criterion(3, "closed-form/oracle agreement, type D", 60):
-        checked = 0
-        for atype in type_d_sweep():
-            checked += assert_engines_agree(atype, atype.diagram.labels)
-        assert checked == 444
+        assert_agreement(type_d_sweep(), 444)
 
 
 def test_criterion_04_agreement_type_e():
     with criterion(4, "closed-form/oracle agreement, type E", 120):
         types = (
-            [AlgebraType.create("E", 6, u, s) for s in (1, 2) for u in range(1, 14)]
-            + [AlgebraType.create("E", 7, u, 1) for u in range(1, 11)]
-            + [AlgebraType.create("E", 8, u, 1) for u in range(1, 9)]
+            sweep_types("E", 1, rank=6, u_max=13)
+            + sweep_types("E", 2, rank=6, u_max=13)
+            + sweep_types("E", 1, rank=7, u_max=10)
+            + sweep_types("E", 1, rank=8, u_max=8)
         )
-        checked = sum(assert_engines_agree(at, at.diagram.labels) for at in types)
-        assert checked == 26 * 6 + 10 * 7 + 8 * 8
+        assert_agreement(types, 26 * 6 + 10 * 7 + 8 * 8)
 
 
 def test_criterion_05_worked_example():
@@ -232,7 +199,7 @@ def _check_se_membership_rules():
     horizon = 30
     for atype in type_a_s1_sweep():
         m, n = atype.diagram.rank + 1, atype.n
-        for t in half_labels(atype):
+        for t in range(1, m // 2 + 1):
             se = set(se_oracle(atype, Vertex(0, t), horizon))
             for i in range(1, horizon + 1):
                 k = i // 2
@@ -244,7 +211,7 @@ def _check_se_membership_rules():
         m = atype.diagram.rank + 1
         shift = atype.n - m // 2
         big_m, big_n = shift + m, 2 * shift + m
-        for t in half_labels(atype):
+        for t in range(1, m // 2 + 1):
             se = set(se_oracle(atype, Vertex(0, t), horizon))
             for r in range(1, horizon + 1):
                 expected = rem(r * big_m, big_n) < t or rem(

@@ -11,6 +11,7 @@ from rigidity_kit import (
     SPINE_PLUS,
     AlgebraType,
     Vertex,
+    agreement,
     endpoint_scan,
     omega,
     omega_period,
@@ -18,6 +19,7 @@ from rigidity_kit import (
     rd_oracle,
     rem,
     se_oracle,
+    sweep_types,
     tau,
     weight_sequence,
 )
@@ -117,6 +119,12 @@ class TestClosedFormTypeE:
         at = AlgebraType.create("E", 8, 2, 1)
         for t in at.diagram.labels:
             assert rd_closed(at, t).rd == rd_oracle(at, Vertex(0, t)).rd
+
+    def test_e8_every_table_column_against_oracle(self):
+        # u = 1..15 meets every residue u mod 15 that keys the E8 table
+        checked, mismatches = agreement(sweep_types("E", 1, rank=8, u_max=15))
+        assert mismatches == []
+        assert checked == 15 * 8
 
 
 class TestOracle:
