@@ -19,6 +19,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .orthogonal import rigdim_closed, rigdim_verify
@@ -186,13 +187,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
     status = 0
     if args.oracle:
         oracle = rd_oracle(atype, Vertex(0, t))
-        report = RigidityReport(
-            atype=atype,
-            vertex=report.vertex,
-            rd=report.rd,
-            branch=report.branch,
-            witness=oracle.witness,
-        )
+        report = replace(report, witness=oracle.witness)
         if oracle.rd != report.rd:
             sys.stderr.write(
                 f"disagreement at {atype.describe()} t={label_str(t)}: "
@@ -231,10 +226,10 @@ def _reports_csv(reports: list[RigidityReport]) -> str:
                 at.n,
                 rep.vertex.x,
                 label_str(rep.vertex.t),
-                "" if rep.rd is None else rep.rd,
+                rep.rd,
                 rep.branch or "",
                 "" if rep.witness is None else rep.witness,
-                "" if rep.domdim_bound is None else rep.domdim_bound,
+                rep.domdim_bound,
             ]
         )
     return buf.getvalue()
@@ -246,11 +241,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for t in atype.diagram.labels:
         rep = rd_closed(atype, t)
         if not args.no_witness:
-            oracle = rd_oracle(atype, Vertex(0, t))
-            rep = RigidityReport(
-                atype=atype, vertex=rep.vertex, rd=rep.rd,
-                branch=rep.branch, witness=oracle.witness,
-            )
+            rep = replace(rep, witness=rd_oracle(atype, Vertex(0, t)).witness)
         reports.append(rep)
     if args.format == "json":
         _emit(args, _dump_json([report_json(r) for r in reports]))

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from .quiver import (
     AlgebraType,
     Vertex,
-    group_generator,
     group_member,
     hammock_minus,
     omega,
-    orbit_reps,
+    orbit_residues,
     tau,
 )
 from .rigidity import rd_closed
@@ -81,22 +80,19 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
     w = v
     for _ in range(r):
         w = omega(diagram, w)
-        u = w
-        for _ in range(atype.s):
-            for t, dx in incidence[u.t]:
-                covered.add((t, (u.x - dx) % period))
-            u = group_generator(atype, u)
+        for c, xw in orbit_residues(atype, w):
+            for t, dx in incidence[c]:
+                covered.add((t, (xw - dx) % period))
 
-    orbit = {(rep.t, rep.x % period) for rep in orbit_reps(atype, v)}
+    orbit = orbit_residues(atype, v)
     violations = []
     for t in diagram.labels:
         for x in range(period):
-            in_orbit = (t, x % period) in orbit
-            is_covered = (t, x) in covered
-            if in_orbit != (not is_covered):
+            # maximal: exactly the vertices off the orbit are covered
+            if ((t, x) in orbit) == ((t, x) in covered):
                 violations.append(Vertex(x, t))
 
-    stability = group_member(atype, v, tau(w if r > 0 else v))
+    stability = group_member(atype, v, tau(w))
     return OrthogonalityCertificate(
         atype=atype,
         generator_vertex=v,

@@ -1,8 +1,9 @@
 """Geometry of the translation quiver ZD for Dynkin diagrams A, D, E.
 
 Vertices, the translation tau, the syzygy automorphism omega, the finite
-twist phi, membership in orbits of the admissible group <tau^n phi>, and
-the hammock supports of the stable Hom functor computed by mesh knitting.
+twist phi, membership in and reduction modulo the admissible group
+<tau^n phi> (``orbit_residues``), and the hammock supports of the stable
+Hom functor computed by mesh knitting.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -34,6 +35,7 @@ __all__ = [
     "omega_inverse",
     "orbit_quiver_dot",
     "orbit_reps",
+    "orbit_residues",
     "phi",
     "tau",
 ]
@@ -339,6 +341,15 @@ def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     return tuple(reps)
 
 
+def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]]:
+    """The orbit of v modulo the group: its pairs (t, x mod period).
+
+    w lies in the orbit of v exactly when (w.t, w.x mod period) is one of them.
+    """
+    period = atype.period
+    return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
+
+
 def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
     """Whether w lies in the orbit of v under the admissible group."""
     period = atype.period
@@ -366,9 +377,6 @@ class Hammock:
 
     def sorted_members(self) -> list[Vertex]:
         return sorted(self.members, key=Vertex.sort_key)
-
-    def row(self, t: Label) -> frozenset[int]:
-        return frozenset(v.x for v in self.members if v.t == t)
 
 
 @lru_cache(maxsize=None)
@@ -471,14 +479,7 @@ def hammock_dot(diagram: Diagram, hammock: Hammock) -> str:
 
 def canonical_rep(atype: AlgebraType, v: Vertex) -> Vertex:
     """Smallest representative of the orbit of v inside x in [0, period)."""
-    period = atype.period
-    best: Vertex | None = None
-    for rep in orbit_reps(atype, v):
-        cand = Vertex(rep.x % period, rep.t)
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    assert best is not None
-    return best
+    return min((Vertex(x, t) for t, x in orbit_residues(atype, v)), key=Vertex.sort_key)
 
 
 def orbit_quiver_dot(atype: AlgebraType, highlight: Vertex | None = None) -> str:

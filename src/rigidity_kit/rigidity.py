@@ -5,9 +5,10 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
   weight/Fibonacci sequences of one Euclidean division;
-* ``rd_oracle`` enumerates self-extension degrees directly on ZD, reducing
-  omega-translates modulo the admissible group against the hammock of the
-  base vertex.
+* ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
+  first self-extension degree: the first omega-translate that meets the
+  hammock of the base vertex modulo the admissible group.  The walk ends by
+  the omega period, since the base vertex lies in its own hammock.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .euclid import weight_sequence
 from .quiver import (
@@ -25,10 +28,10 @@ from .quiver import (
     SPINE_PLUS,
     AlgebraType,
     Vertex,
-    group_generator,
     group_member,
     hammock_minus,
     omega,
+    orbit_residues,
 )
 
 __all__ = [
@@ -47,22 +50,21 @@ __all__ = [
 class RigidityReport:
     """Rigidity degree of one vertex plus provenance.
 
-    ``rd is None`` encodes an infinite rigidity degree (empty self-extension
-    set).  ``branch`` names the closed-form case that fired and is absent on
+    ``branch`` names the closed-form case that fired and is absent on
     oracle reports; ``witness`` is the smallest self-extension degree and is
     filled by the oracle only.
     """
 
     atype: AlgebraType
     vertex: Vertex
-    rd: int | None
+    rd: int
     branch: str | None = None
     witness: int | None = None
 
     @property
-    def domdim_bound(self) -> int | None:
+    def domdim_bound(self) -> int:
         """Dominant dimension of the generator-cogenerator's endomorphism algebra."""
-        return None if self.rd is None else self.rd + 2
+        return self.rd + 2
 
 
 def _fib_interval_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
@@ -241,43 +243,37 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     return RigidityReport(atype=atype, vertex=Vertex(0, t), rd=rd, branch=branch)
 
 
-def _orbit_residues(atype: AlgebraType, members) -> dict:
+def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
+    """Yield (i, hit) for i = 1, 2, ...: whether i is a self-extension degree of v.
+
+    Degree i qualifies when some group translate of the i-th omega shift of
+    v lands in the hammock of v; both are compared reduced modulo the group.
+    """
+    diagram = atype.diagram
     period = atype.period
-    residues: dict = {}
-    for v in members:
-        residues.setdefault(v.t, set()).add(v.x % period)
-    return residues
+    targets = {r for h in hammock_minus(diagram, v) for r in orbit_residues(atype, h)}
+    w = v
+    for i in count(1):
+        w = omega(diagram, w)
+        yield i, (w.t, w.x % period) in targets
 
 
 def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
-    """Self-extension degrees in [1, horizon], by direct enumeration on ZD.
-
-    Degree i qualifies when some group translate of the i-th omega shift of
-    v lands in the hammock of v.
-    """
+    """Self-extension degrees in [1, horizon], by direct enumeration on ZD."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    diagram = atype.diagram
-    residues = _orbit_residues(atype, hammock_minus(diagram, v).members)
-    period = atype.period
-    found = []
-    w = v
-    for i in range(1, horizon + 1):
-        w = omega(diagram, w)
-        u = w
-        for _ in range(atype.s):
-            hits = residues.get(u.t)
-            if hits is not None and u.x % period in hits:
-                found.append(i)
-                break
-            u = group_generator(atype, u)
-    return tuple(found)
+    return tuple(i for i, hit in islice(_omega_walk(atype, v), horizon) if hit)
+
+
+def _step_cap(atype: AlgebraType) -> int:
+    """Cap on the omega steps of one walk before it fails fast."""
+    return 4 * atype.s * atype.n * (atype.m_delta + 1)
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
     """Smallest p >= 1 with omega^p(v) in the orbit of v."""
     diagram = atype.diagram
-    cap = 4 * atype.s * atype.n * (atype.m_delta + 1)
+    cap = _step_cap(atype)
     w = v
     for p in range(1, cap + 1):
         w = omega(diagram, w)
@@ -287,16 +283,18 @@ def omega_period(atype: AlgebraType, v: Vertex) -> int:
 
 
 def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
-    """Brute-force rigidity degree: scan one full omega period of v.
+    """Brute-force rigidity degree: walk omega from v to its first self-extension.
 
-    The self-extension set is periodic with the omega period, so an empty
-    scan certifies an infinite rigidity degree.
+    The rigidity degree counts the consecutive vanishing self-extensions, so
+    it is one less than the first self-extension degree.  That degree is at
+    most the omega period of v, because v lies in its own hammock; a walk
+    longer than the step cap of ``omega_period`` raises ``RuntimeError``.
     """
-    period = omega_period(atype, v)
-    found = se_oracle(atype, v, period)
-    if found:
-        return RigidityReport(atype=atype, vertex=v, rd=found[0] - 1, witness=found[0])
-    return RigidityReport(atype=atype, vertex=v, rd=None)
+    cap = _step_cap(atype)
+    for i, hit in islice(_omega_walk(atype, v), cap):
+        if hit:
+            return RigidityReport(atype=atype, vertex=v, rd=i - 1, witness=i)
+    raise RuntimeError(f"omega walk of {v} met no self-extension within {cap} steps")
 
 
 def endpoint_scan(atype: AlgebraType) -> tuple[tuple[int, int], ...]:
@@ -308,7 +306,6 @@ def endpoint_scan(atype: AlgebraType) -> tuple[tuple[int, int], ...]:
     previous: int | None = None
     for t in range(1, m // 2 + 1):
         rd = rd_closed(atype, t).rd
-        assert rd is not None
         if previous is not None and rd > previous:
             raise RuntimeError(
                 f"rigidity degrees of {atype.describe()} increase at t={t}"
@@ -328,49 +325,46 @@ def sweep_types(
     Type A runs ranks 1..rank_max over raw shifts 1..n_max (s=1) or odd ranks
     3..rank_max over u = 1..u_max (s=2); type D runs ranks 4..rank_max (D4
     alone for s=3), or with ``fractional`` ranks 6, 9, ... over u = v/3 with
-    3 not dividing v; type E runs ``rank`` alone.  Missing bounds, invalid
+    3 not dividing v; type E runs ``rank`` alone.  Missing bounds, bounds the
+    sweep does not use (``fractional`` outside type D included), invalid
     types and an empty grid raise ``ValueError``.
     """
-    types: list[AlgebraType] = []
+    sweep = f"type {delta} s={s}"
     if delta == "A":
-        if s == 1:
-            if not rank_max or not n_max:
-                raise ValueError("type A s=1 sweeps need --rank-max and --n-max")
-            for r in range(1, rank_max + 1):
-                for n in range(1, n_max + 1):
-                    types.append(AlgebraType.from_shift("A", r, n, 1))
-        else:
-            if not rank_max or not u_max:
-                raise ValueError(f"type A s={s} sweeps need --rank-max and --u-max")
-            for r in range(3, rank_max + 1, 2):
-                for u in range(1, u_max + 1):
-                    types.append(AlgebraType.create("A", r, u, s))
+        needs = ("rank_max", "n_max") if s == 1 else ("rank_max", "u_max")
+    elif delta == "D" and fractional:
+        if s != 1:
+            raise ValueError("fractional type D sweeps need s=1")
+        sweep, needs = "fractional type D", ("rank_max", "u_max")
     elif delta == "D":
-        if not u_max:
-            raise ValueError("type D sweeps need --u-max")
-        if fractional:
-            if s != 1:
-                raise ValueError("fractional type D sweeps need --s 1")
-            if not rank_max:
-                raise ValueError("fractional type D sweeps need --rank-max")
-            for r in range(6, rank_max + 1, 3):
-                for v in range(1, u_max + 1):
-                    if v % 3 != 0:
-                        types.append(AlgebraType.create("D", r, Fraction(v, 3), 1))
-        elif s == 3:
-            for u in range(1, u_max + 1):
-                types.append(AlgebraType.create("D", 4, u, 3))
-        else:
-            if not rank_max:
-                raise ValueError("type D sweeps need --rank-max")
-            for r in range(4, rank_max + 1):
-                for u in range(1, u_max + 1):
-                    types.append(AlgebraType.create("D", r, u, s))
+        needs = ("u_max",) if s == 3 else ("rank_max", "u_max")
     else:
-        if not rank or not u_max:
-            raise ValueError("type E sweeps need --rank and --u-max")
-        for u in range(1, u_max + 1):
-            types.append(AlgebraType.create("E", rank, u, s))
+        needs = ("rank", "u_max")
+    bounds = {"rank": rank, "rank_max": rank_max, "n_max": n_max, "u_max": u_max}
+    if not all(bounds[name] for name in needs):
+        raise ValueError(f"{sweep} sweeps need {' and '.join(needs)}")
+    unused = [name for name, value in bounds.items() if value is not None and name not in needs]
+    if fractional and delta != "D":
+        unused.append("fractional")
+    if unused:
+        raise ValueError(f"{sweep} sweeps do not use {', '.join(unused)}")
+
+    if delta == "A" and s == 1:
+        types = [AlgebraType.from_shift("A", r, n, 1)
+                 for r in range(1, rank_max + 1) for n in range(1, n_max + 1)]
+    elif delta == "A":
+        types = [AlgebraType.create("A", r, u, s)
+                 for r in range(3, rank_max + 1, 2) for u in range(1, u_max + 1)]
+    elif fractional:
+        types = [AlgebraType.create("D", r, Fraction(v, 3), 1)
+                 for r in range(6, rank_max + 1, 3) for v in range(1, u_max + 1) if v % 3]
+    elif delta == "D" and s == 3:
+        types = [AlgebraType.create("D", 4, u, 3) for u in range(1, u_max + 1)]
+    elif delta == "D":
+        types = [AlgebraType.create("D", r, u, s)
+                 for r in range(4, rank_max + 1) for u in range(1, u_max + 1)]
+    else:
+        types = [AlgebraType.create("E", rank, u, s) for u in range(1, u_max + 1)]
     if not types:
         raise ValueError("the sweep bounds leave no algebra type to check")
     return types

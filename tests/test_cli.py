@@ -139,6 +139,20 @@ class TestVerifyCommand:
         assert status == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--delta", "D", "--s", "3", "--rank-max", "9", "--rank", "7",
+             "--n-max", "4", "--u-max", "2"],
+            ["--delta", "E", "--rank", "6", "--u-max", "2", "--fractional"],
+        ],
+        ids=["d-twist-3", "e-fractional"],
+    )
+    def test_unused_bounds_exit_2(self, capsys, argv):
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert status == 2 and out == ""
+        assert "do not use" in err
+
     def test_type_a_rejects_twist_3(self, capsys):
         status, out, err = run_cli(
             capsys, "verify", "--delta", "A", "--s", "3",

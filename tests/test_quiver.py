@@ -24,6 +24,7 @@ from rigidity_kit import (
     phi,
     tau,
 )
+from rigidity_kit.quiver import orbit_residues
 
 
 class TestTau:
@@ -168,6 +169,26 @@ class TestGroupMember:
         assert group_member(at, Vertex(0, SPINE_PLUS), Vertex(n, SPINE_MINUS))
         assert group_member(at, Vertex(0, SPINE_PLUS), Vertex(2 * n, SPINE_PLUS))
 
+    @pytest.mark.parametrize(
+        "at",
+        [
+            AlgebraType.create("A", 5, 2, 2),
+            AlgebraType.create("D", 6, 2, 2),
+            AlgebraType.create("D", 4, 1, 3),
+            AlgebraType.create("E", 6, 1, 2),
+        ],
+        ids=lambda at: at.describe(),
+    )
+    def test_orbit_residues_match_group_member(self, at):
+        for t in at.diagram.labels:
+            v = Vertex(3, t)
+            residues = orbit_residues(at, v)
+            assert len(residues) == at.s
+            for x in range(-at.period, 2 * at.period):
+                for c in at.diagram.labels:
+                    w = Vertex(x, c)
+                    assert ((c, x % at.period) in residues) == group_member(at, v, w)
+
 
 class TestAlgebraTypeValidation:
     def test_fractional_u_requires_divisible_rank(self):
@@ -229,7 +250,7 @@ class TestHammocksTypeA:
         for t in range(1, m // 2 + 1):
             h = hammock_minus(d, Vertex(0, t))
             for tp in range(t, m - t + 1):
-                assert h.row(tp) == frozenset(range(t)), (m, t, tp)
+                assert frozenset(v.x for v in h if v.t == tp) == frozenset(range(t)), (m, t, tp)
 
     def test_base_in_members(self):
         h = hammock_minus(Diagram("A", 4), Vertex(3, 2))
@@ -261,7 +282,7 @@ class TestHammocksTypeD:
         m = rank - 1
         d = Diagram("D", rank)
         for t in range(1, m):
-            row = hammock_minus(d, Vertex(0, t)).row(t)
+            row = frozenset(v.x for v in hammock_minus(d, Vertex(0, t)) if v.t == t)
             assert row == frozenset(range(t)) | frozenset(range(m - t, m)), (rank, t)
 
     @pytest.mark.parametrize("rank", range(4, 9))
@@ -269,8 +290,8 @@ class TestHammocksTypeD:
         m = rank - 1
         d = Diagram("D", rank)
         h = hammock_minus(d, Vertex(0, SPINE_PLUS))
-        plus_row = h.row(SPINE_PLUS)
-        minus_row = h.row(SPINE_MINUS)
+        plus_row = frozenset(v.x for v in h if v.t == SPINE_PLUS)
+        minus_row = frozenset(v.x for v in h if v.t == SPINE_MINUS)
         assert plus_row == frozenset(y for y in range(m) if y % 2 == 0)
         assert minus_row == frozenset(y for y in range(m) if y % 2 == 1)
         assert Vertex(m - 2, 1) in h
@@ -282,7 +303,7 @@ class TestHammocksTypeE:
         d = Diagram("E", 6)
         expected = {1: {0, 3}, 2: {0, 1, 2, 3, 4}, 3: {0, 1, 2, 3, 4, 5}, 6: {0, 2, 3, 5}}
         for t, xs in expected.items():
-            row = hammock_minus(d, Vertex(0, t)).row(t)
+            row = frozenset(v.x for v in hammock_minus(d, Vertex(0, t)) if v.t == t)
             assert {x for x in row if 0 <= x < 6} == xs
 
     def test_e6_twisted_rows(self):

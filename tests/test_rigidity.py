@@ -165,6 +165,16 @@ class TestOracle:
             (i + p in se) == (i in se) for i in range(1, p + 1)
         )
 
+    def test_walk_without_self_extension_fails_fast(self, monkeypatch):
+        # an empty hammock never meets the walk; the step cap must stop it
+        from rigidity_kit import Hammock, rigidity
+
+        monkeypatch.setattr(
+            rigidity, "hammock_minus", lambda d, v: Hammock(base=v, members=frozenset())
+        )
+        with pytest.raises(RuntimeError, match="no self-extension"):
+            rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             se_oracle(NAKAYAMA_17_9, Vertex(0, 1), 0)
@@ -195,6 +205,34 @@ class TestOracle:
                 if any(group_member(at, w, h) for h in members):
                     literal.append(i)
             assert tuple(literal) == se_oracle(at, v, 20)
+
+    @pytest.mark.parametrize(
+        "at",
+        [
+            AlgebraType.create("A", 4, 2, 1),
+            AlgebraType.from_shift("A", 6, 9, 1),
+            AlgebraType.create("A", 5, 2, 2),
+            AlgebraType.create("D", 5, 2, 1),
+            AlgebraType.create("D", 6, 1, 2),
+            AlgebraType.create("D", 4, 2, 3),
+            AlgebraType.create("D", 6, Fraction(2, 3), 1),
+            AlgebraType.create("E", 6, 2, 1),
+            AlgebraType.create("E", 6, 1, 2),
+            AlgebraType.create("E", 7, 2, 1),
+            AlgebraType.create("E", 8, 1, 1),
+        ],
+        ids=lambda at: at.describe(),
+    )
+    def test_first_hit_matches_full_period_scan(self, at):
+        # rd_oracle stops at its first self-extension; scanning the whole
+        # omega period must find the same one, and the period itself
+        for t in at.diagram.labels:
+            for x in (0, 3):
+                v = Vertex(x, t)
+                p = omega_period(at, v)
+                full = se_oracle(at, v, p)
+                assert p in full, (t, x)
+                assert rd_oracle(at, v).witness == full[0], (t, x)
 
 
 class TestMembershipCharacterizations:
@@ -281,10 +319,3 @@ class TestEndpointScan:
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
             endpoint_scan(AlgebraType.create("D", 5, 1, 1))
-
-
-def test_infinite_rd_is_representable():
-    from rigidity_kit import RigidityReport
-
-    report = RigidityReport(atype=NAKAYAMA_17_9, vertex=Vertex(0, 1), rd=None)
-    assert report.domdim_bound is None
