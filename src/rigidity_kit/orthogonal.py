@@ -4,7 +4,10 @@ A single orbit M = G.v is maximal r-orthogonal when the complement of M in
 ZD is exactly the union of the forward hammocks of the first r omega
 shifts of M.  The check runs over one fundamental domain (a full period of
 x-coordinates times all labels); a certificate carries the violating
-vertices so negative answers are debuggable.
+vertices so negative answers are debuggable.  The cover is built from the
+per-diagram cached incidence of the backward hammocks
+(``hammock_incidence``) and the orbit offsets of the labels, as integer
+pairs (label, x mod period).
 
 The closed-form rigidity dimensions cover the three families where a
 single orbit does certify: the two type-A families, the twisted type-A
@@ -19,8 +22,9 @@ from .quiver import (
     AlgebraType,
     Vertex,
     group_member,
-    hammock_minus,
+    hammock_incidence,
     omega,
+    orbit_offsets,
     orbit_residues,
     tau,
 )
@@ -69,28 +73,24 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
     diagram = atype.diagram
     period = atype.period
 
-    # transpose of the base hammocks: for each label c, the pairs (t, dx)
-    # with (dx, c) a member of the backward hammock based at (0, t)
-    incidence: dict = {c: [] for c in diagram.labels}
-    for t in diagram.labels:
-        for h in hammock_minus(diagram, Vertex(0, t)).members:
-            incidence[h.t].append((t, h.x))
-
+    incidence = hammock_incidence(diagram)
+    offsets = orbit_offsets(atype)
     covered: set[tuple] = set()
     w = v
     for _ in range(r):
         w = omega(diagram, w)
-        for c, xw in orbit_residues(atype, w):
-            for t, dx in incidence[c]:
-                covered.add((t, (xw - dx) % period))
+        for c, ox in offsets[w.t]:
+            xc = w.x + ox
+            covered.update([(t, (xc - dx) % period) for t, dx in incidence[c]])
 
-    orbit = orbit_residues(atype, v)
-    violations = []
-    for t in diagram.labels:
-        for x in range(period):
-            # maximal: exactly the vertices off the orbit are covered
-            if ((t, x) in orbit) == ((t, x) in covered):
-                violations.append(Vertex(x, t))
+    # maximal: exactly the vertices off the orbit are covered, so once the
+    # orbit is toggled in, every cell should be in the set; labels come in
+    # sort-key order, so the violations come out sorted
+    covered ^= orbit_residues(atype, v)
+    labels = diagram.labels
+    violations = tuple(
+        Vertex(x, t) for x in range(period) for t in labels if (t, x) not in covered
+    )
 
     stability = group_member(atype, v, tau(w))
     return OrthogonalityCertificate(
@@ -98,7 +98,7 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
         generator_vertex=v,
         r=r,
         is_maximal=not violations,
-        uncovered=tuple(sorted(violations, key=Vertex.sort_key)),
+        uncovered=violations,
         stability_ok=stability,
     )
 

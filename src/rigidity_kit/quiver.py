@@ -2,8 +2,15 @@
 
 Vertices, the translation tau, the syzygy automorphism omega, the finite
 twist phi, membership in and reduction modulo the admissible group
-<tau^n phi> (``orbit_residues``), and the hammock supports of the stable
-Hom functor computed by mesh knitting.
+<tau^n phi> (``orbit_residues``, ``orbit_offsets``), and the hammock
+supports of the stable Hom functor computed by mesh knitting.
+
+The integer geometry of each diagram is built once and cached per diagram,
+never per algebra type: the omega and phi step tables (``omega`` and
+``phi`` are lookups in them), the knitted hammocks as integer cells
+(``hammock_cells``) and their transpose ``hammock_incidence``.  Labels are
+checked where they enter: a label missing from a table raises the
+``ValueError`` of ``Diagram.check_label``, with no check on every step.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -28,11 +35,14 @@ __all__ = [
     "Vertex",
     "group_generator",
     "group_member",
+    "hammock_cells",
     "hammock_dot",
+    "hammock_incidence",
     "hammock_minus",
     "hammock_plus",
     "omega",
     "omega_inverse",
+    "orbit_offsets",
     "orbit_quiver_dot",
     "orbit_reps",
     "orbit_residues",
@@ -104,6 +114,7 @@ class Diagram:
 
     @property
     def labels(self) -> tuple[Label, ...]:
+        """The labels, in the order of ``Vertex.sort_key``."""
         return _structure(self.family, self.rank)[0]
 
     @property
@@ -187,32 +198,47 @@ def _spine_flip(t: Label) -> Label:
     return SPINE_MINUS if t == SPINE_PLUS else SPINE_PLUS
 
 
+@lru_cache(maxsize=None)
+def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
+    """omega as a table: label t -> (dx, t') with omega(x, t) = (x + dx, t').
+
+    Shared by every caller of the cache; never mutate it.
+    """
+    steps: dict[Label, tuple[int, Label]] = {}
+    for t in _structure(family, rank)[0]:
+        if family == "A":
+            steps[t] = (t, rank + 1 - t)
+        elif family == "D":
+            m = rank - 1
+            flips = t in (SPINE_PLUS, SPINE_MINUS) and m % 2 == 0
+            steps[t] = (m, _spine_flip(t) if flips else t)
+        elif rank == 6:
+            steps[t] = (6, 6) if t == 6 else (t + 3, 6 - t)
+        else:
+            steps[t] = (_E_H_STAR[rank], t)
+    return steps
+
+
+def _apply(steps: dict[Label, tuple[int, Label]], diagram: Diagram, v: Vertex) -> Vertex:
+    """Apply a step table to v; a label missing from it raises ``check_label``'s error."""
+    step = steps.get(v.t)
+    if step is None:
+        diagram.check_label(v.t)
+    dx, t = step
+    return Vertex(v.x + dx, t)
+
+
 def omega(diagram: Diagram, v: Vertex) -> Vertex:
-    """The syzygy automorphism of ZD in the fixed coordinates."""
-    diagram.check_label(v.t)
-    if diagram.family == "A":
-        m = diagram.rank + 1
-        return Vertex(v.x + v.t, m - v.t)
-    if diagram.family == "D":
-        m = diagram.rank - 1
-        if v.t in (SPINE_PLUS, SPINE_MINUS):
-            t = _spine_flip(v.t) if m % 2 == 0 else v.t
-            return Vertex(v.x + m, t)
-        return Vertex(v.x + m, v.t)
-    if diagram.rank == 6:
-        if v.t == 6:
-            return Vertex(v.x + 6, 6)
-        return Vertex(v.x + v.t + 3, 6 - v.t)
-    return Vertex(v.x + diagram.h_star, v.t)
+    """The syzygy automorphism of ZD in the fixed coordinates, one table lookup."""
+    return _apply(_omega_steps(diagram.family, diagram.rank), diagram, v)
 
 
 def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
-    """Inverse of ``omega``: it maps (x, t) to (x + d(t), sigma(t)), so undo that."""
+    """Inverse of ``omega``: it maps (x, t) to (x + dx, t'), so undo that."""
     diagram.check_label(v.t)
-    for t in diagram.labels:
-        image = omega(diagram, Vertex(0, t))
-        if image.t == v.t:
-            return Vertex(v.x - image.x, t)
+    for t, (dx, image) in _omega_steps(diagram.family, diagram.rank).items():
+        if image == v.t:
+            return Vertex(v.x - dx, t)
     raise AssertionError("omega permutes the labels")  # pragma: no cover
 
 
@@ -307,24 +333,31 @@ class AlgebraType:
         return f"({self.diagram.family}{self.diagram.rank}, {self.u}, {self.s})"
 
 
+@lru_cache(maxsize=None)
+def _phi_steps(family: str, rank: int, s: int) -> dict[Label, tuple[int, Label]]:
+    """phi of twist order s as a table, like ``_omega_steps``; never mutate it."""
+    steps: dict[Label, tuple[int, Label]] = {}
+    for t in _structure(family, rank)[0]:
+        if s == 1:
+            steps[t] = (0, t)
+        elif family == "A":
+            m = rank + 1
+            steps[t] = (t - m // 2, m - t)
+        elif family == "D" and s == 2:
+            steps[t] = (0, _spine_flip(t) if t in (SPINE_PLUS, SPINE_MINUS) else t)
+        elif family == "D":
+            cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
+            steps[t] = (0, cycle.get(t, t))
+        else:  # E6, s == 2: tau^-6 . omega
+            dx, image = _omega_steps(family, rank)[t]
+            steps[t] = (dx - 6, image)
+    return steps
+
+
 def phi(atype: AlgebraType, v: Vertex) -> Vertex:
     """The finite twist entering the group generator; identity when s == 1."""
-    atype.diagram.check_label(v.t)
-    if atype.s == 1:
-        return v
-    fam = atype.diagram.family
-    if fam == "A":
-        m = atype.diagram.rank + 1
-        return Vertex(v.x + v.t - m // 2, m - v.t)
-    if fam == "D":
-        if atype.s == 2:
-            if v.t in (SPINE_PLUS, SPINE_MINUS):
-                return Vertex(v.x, _spine_flip(v.t))
-            return v
-        cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
-        return Vertex(v.x, cycle.get(v.t, v.t))
-    # E6, s == 2: tau^-6 . omega
-    return omega(atype.diagram, Vertex(v.x - 6, v.t))
+    diagram = atype.diagram
+    return _apply(_phi_steps(diagram.family, diagram.rank, atype.s), diagram, v)
 
 
 def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
@@ -348,6 +381,18 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     """
     period = atype.period
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
+
+
+def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
+    """``orbit_reps(atype, Vertex(0, t))`` of every label t, as pairs (t', dx).
+
+    As phi commutes with tau, the orbit of (x, t) is the translates by
+    period-multiples of the vertices (x + dx, t').
+    """
+    return {
+        t: tuple((r.t, r.x) for r in orbit_reps(atype, Vertex(0, t)))
+        for t in atype.diagram.labels
+    }
 
 
 def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
@@ -379,7 +424,6 @@ class Hammock:
         return sorted(self.members, key=Vertex.sort_key)
 
 
-@lru_cache(maxsize=None)
 def _knit_profile(
     family: str, rank: int, t0: Label, forward: bool
 ) -> tuple[tuple[tuple[Label, int], ...], ...]:
@@ -416,20 +460,48 @@ def _knit_profile(
     raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
 
 
+@lru_cache(maxsize=None)
+def hammock_cells(
+    diagram: Diagram, t: Label, forward: bool = False
+) -> tuple[tuple[int, Label], ...]:
+    """Members of the hammock based at (0, t) as pairs (dx, c), cached per diagram.
+
+    ``_knit_profile`` itself is not cached, so the oracle keeps one copy of
+    each hammock it walks against.  The backward hammock (support of stable
+    Hom(-, (0, t))) has dx >= 0, the forward one (forward=True, stable
+    Hom((0, t), -)) has dx <= 0.
+    """
+    sign = -1 if forward else 1
+    profile = _knit_profile(diagram.family, diagram.rank, t, forward)
+    return tuple((sign * i, c) for i, slice_ in enumerate(profile) for c, _ in slice_)
+
+
+@lru_cache(maxsize=None)
+def hammock_incidence(diagram: Diagram) -> dict[Label, tuple[tuple[Label, int], ...]]:
+    """Transposed backward hammocks: label c -> pairs (t, dx) with (dx, c) in H-(0, t).
+
+    Cached per diagram and shared by every caller; never mutate it.  It is
+    read from the knitting directly, so a certificate caches no hammock cells.
+    """
+    incidence: dict[Label, list[tuple[Label, int]]] = {c: [] for c in diagram.labels}
+    for t in diagram.labels:
+        profile = _knit_profile(diagram.family, diagram.rank, t, False)
+        for dx, slice_ in enumerate(profile):
+            for c, _ in slice_:
+                incidence[c].append((t, dx))
+    return {c: tuple(pairs) for c, pairs in incidence.items()}
+
+
 def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:
     """Support of stable Hom(-, v), knitted backwards against the arrows."""
-    profile = _knit_profile(diagram.family, diagram.rank, v.t, forward=False)
-    members = frozenset(
-        Vertex(v.x + i, c) for i, slice_ in enumerate(profile) for c, _ in slice_
-    )
+    members = frozenset(Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t))
     return Hammock(base=v, members=members)
 
 
 def hammock_plus(diagram: Diagram, v: Vertex) -> Hammock:
     """Support of stable Hom(v, -), knitted forwards along the arrows."""
-    profile = _knit_profile(diagram.family, diagram.rank, v.t, forward=True)
     members = frozenset(
-        Vertex(v.x - i, c) for i, slice_ in enumerate(profile) for c, _ in slice_
+        Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t, forward=True)
     )
     return Hammock(base=v, members=members)
 

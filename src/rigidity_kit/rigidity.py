@@ -8,7 +8,10 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
-  the omega period, since the base vertex lies in its own hammock.
+  the omega period, since the base vertex lies in its own hammock.  Its
+  targets are integer pairs (label, x mod period) built once per call from
+  the knitted hammock and the orbit offsets; each step is one ``omega``
+  table lookup and one set test.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -29,9 +32,9 @@ from .quiver import (
     AlgebraType,
     Vertex,
     group_member,
-    hammock_minus,
+    hammock_cells,
     omega,
-    orbit_residues,
+    orbit_offsets,
 )
 
 __all__ = [
@@ -247,11 +250,18 @@ def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
     """Yield (i, hit) for i = 1, 2, ...: whether i is a self-extension degree of v.
 
     Degree i qualifies when some group translate of the i-th omega shift of
-    v lands in the hammock of v; both are compared reduced modulo the group.
+    v lands in the hammock of v.  The targets are the hammock members reduced
+    modulo the group, as integer pairs (label, x mod period) offset from
+    v.x; each step is then one ``omega`` call and one set test.
     """
     diagram = atype.diagram
     period = atype.period
-    targets = {r for h in hammock_minus(diagram, v) for r in orbit_residues(atype, h)}
+    offsets = orbit_offsets(atype)
+    targets = {
+        (t, (v.x + dx + ox) % period)
+        for dx, c in hammock_cells(diagram, v.t)
+        for t, ox in offsets[c]
+    }
     w = v
     for i in count(1):
         w = omega(diagram, w)

@@ -161,14 +161,6 @@ class TestVerifyCommand:
         assert status == 2 and out == ""
         assert "twist orders 1 and 2" in err
 
-    def test_thread_env_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_KIT_THREADS", "2")
-        status, out, _ = run_cli(
-            capsys, "verify", "--delta", "A", "--s", "2",
-            "--rank-max", "3", "--u-max", "2",
-        )
-        assert status == 0 and "all agree" in out
-
 
 class TestRigdimCommand:
     def test_e7_family(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from rigidity_kit import (
     hammock_plus,
     is_maximal_orthogonal,
     omega,
+    orbit_reps,
     rd_closed,
     rigdim_closed,
     rigdim_verify,
@@ -94,6 +96,55 @@ class TestCertificates:
         cert = is_maximal_orthogonal(atype, Vertex(0, t), r)
         assert cert.is_maximal is expected
         assert literal_certificate(atype, Vertex(0, t), r) is expected
+
+
+def reference_violations(atype, v, r):
+    """Violations straight from the definition, reduced modulo the period.
+
+    The cover is the union of the forward hammocks of the orbit
+    representatives of omega^i(v), i = 1..r; a cell of the fundamental
+    domain violates maximality when it is on the orbit and covered, or
+    off the orbit and not covered.
+    """
+    d, period = atype.diagram, atype.period
+    covered = set()
+    w = v
+    for _ in range(r):
+        w = omega(d, w)
+        for rep in orbit_reps(atype, w):
+            covered |= {(z.t, z.x % period) for z in hammock_plus(d, rep)}
+    violations = [z for z, on_orbit in orbit_cells(atype, v) if on_orbit == ((z.t, z.x) in covered)]
+    return sorted(violations, key=Vertex.sort_key)
+
+
+@lru_cache(maxsize=None)
+def orbit_cells(atype, v):
+    """The fundamental domain's vertices z, each with whether z is in the orbit of v."""
+    cells = [Vertex(x, t) for x in range(atype.period) for t in atype.diagram.labels]
+    return tuple((z, group_member(atype, v, z)) for z in cells)
+
+
+REFERENCE_TYPES = (
+    [AlgebraType.create("A", 4, u, 1) for u in (1, 2, 3)]
+    + [AlgebraType.create("A", 3, u, 2) for u in (1, 2, 3)]
+    + [AlgebraType.create("D", 5, u, s) for s in (1, 2) for u in (1, 2, 3)]
+    + [AlgebraType.create("D", 4, u, 3) for u in (1, 2, 3)]
+    + [AlgebraType.create("D", 6, Fraction(v, 3), 1) for v in (1, 2, 4, 5, 7, 8)]
+    + [AlgebraType.create("E", 6, u, s) for s in (1, 2) for u in (1, 2, 3)]
+    + [AlgebraType.create("E", rank, u, 1) for rank in (7, 8) for u in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("atype", REFERENCE_TYPES, ids=lambda at: at.describe())
+def test_certificate_matches_definition(atype):
+    # the certificate's cached incidence and orbit offsets must reproduce the
+    # violations of the defining covering condition, in sorted order
+    for t in atype.diagram.labels:
+        for x in (0, 3):
+            v = Vertex(x, t)
+            for r in sorted({0, 1, 2, 5, rd_closed(atype, t).rd}):
+                cert = is_maximal_orthogonal(atype, v, r)
+                assert list(cert.uncovered) == reference_violations(atype, v, r), (t, x, r)
 
 
 class TestHalfLineFamily:

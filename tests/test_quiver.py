@@ -18,13 +18,18 @@ from rigidity_kit import (
     hammock_dot,
     hammock_minus,
     hammock_plus,
+    is_maximal_orthogonal,
     omega,
     omega_inverse,
     orbit_quiver_dot,
+    orbit_reps,
     phi,
+    rd_closed,
+    rd_oracle,
+    se_oracle,
     tau,
 )
-from rigidity_kit.quiver import orbit_residues
+from rigidity_kit.quiver import hammock_cells, hammock_incidence, orbit_residues
 
 
 class TestTau:
@@ -188,6 +193,56 @@ class TestGroupMember:
                 for c in at.diagram.labels:
                     w = Vertex(x, c)
                     assert ((c, x % at.period) in residues) == group_member(at, v, w)
+
+
+class TestTables:
+    @pytest.mark.parametrize("t", [9, SPINE_PLUS])
+    def test_unknown_label_raises_check_label_error_at_every_entry(self, t):
+        at = AlgebraType.create("A", 5, 2, 1)
+        twisted = AlgebraType.create("A", 5, 2, 2)
+        d, v = at.diagram, Vertex(0, t)
+        calls = [
+            lambda: omega(d, v),
+            lambda: omega_inverse(d, v),
+            lambda: phi(at, v),
+            lambda: phi(twisted, v),
+            lambda: rd_oracle(at, v),
+            lambda: se_oracle(at, v, 5),
+            lambda: rd_closed(at, t),
+            lambda: is_maximal_orthogonal(at, v, 2),
+        ]
+        message = f"label {t!r} is not a vertex of A5"
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", 1), ("A", 6), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("E", 8)],
+    )
+    def test_omega_table_commutes_with_tau_and_inverts(self, family, rank):
+        d = Diagram(family, rank)
+        for t in d.labels:
+            v = Vertex(-4, t)
+            assert omega(d, tau(v)) == tau(omega(d, v))
+            assert omega_inverse(d, omega(d, v)) == v
+            assert omega(d, omega_inverse(d, v)) == v
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("D", 6), ("E", 6), ("E", 8)])
+    def test_labels_in_sort_key_order(self, family, rank):
+        labels = Diagram(family, rank).labels
+        assert sorted(labels, key=lambda t: Vertex(0, t).sort_key()) == list(labels)
+
+    @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
+    def test_incidence_transposes_backward_hammocks(self, family, rank):
+        d = Diagram(family, rank)
+        transposed = {(t, dx, c) for c, pairs in hammock_incidence(d).items() for t, dx in pairs}
+        direct = {(t, h.x, h.t) for t in d.labels for h in hammock_minus(d, Vertex(0, t))}
+        assert transposed == direct
+        for t in d.labels:
+            forward = {Vertex(dx, c) for dx, c in hammock_cells(d, t, forward=True)}
+            assert forward == hammock_plus(d, Vertex(0, t)).members
 
 
 class TestAlgebraTypeValidation:

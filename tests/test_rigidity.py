@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_kit import (
     SPINE_MINUS,
@@ -167,11 +169,9 @@ class TestOracle:
 
     def test_walk_without_self_extension_fails_fast(self, monkeypatch):
         # an empty hammock never meets the walk; the step cap must stop it
-        from rigidity_kit import Hammock, rigidity
+        from rigidity_kit import rigidity
 
-        monkeypatch.setattr(
-            rigidity, "hammock_minus", lambda d, v: Hammock(base=v, members=frozenset())
-        )
+        monkeypatch.setattr(rigidity, "hammock_cells", lambda d, t: ())
         with pytest.raises(RuntimeError, match="no self-extension"):
             rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
 
@@ -233,6 +233,29 @@ class TestOracle:
                 full = se_oracle(at, v, p)
                 assert p in full, (t, x)
                 assert rd_oracle(at, v).witness == full[0], (t, x)
+
+
+# every family and twist order, fractional type D included, at small u
+algebra_types = st.one_of(
+    st.builds(AlgebraType.from_shift, st.just("A"), st.integers(1, 12), st.integers(1, 40)),
+    st.builds(lambda rank, u: AlgebraType.create("A", rank, u, 2),
+              st.sampled_from([3, 5, 7, 9, 11]), st.integers(1, 6)),
+    st.builds(lambda rank, u, s: AlgebraType.create("D", rank, u, s),
+              st.integers(4, 10), st.integers(1, 6), st.sampled_from([1, 2])),
+    st.builds(lambda rank, v: AlgebraType.create("D", rank, Fraction(v, 3), 1),
+              st.sampled_from([6, 9, 12]), st.integers(1, 18).filter(lambda v: v % 3)),
+    st.builds(lambda u: AlgebraType.create("D", 4, u, 3), st.integers(1, 12)),
+    st.builds(lambda rank, u: AlgebraType.create("E", rank, u, 1),
+              st.sampled_from([6, 7, 8]), st.integers(1, 12)),
+    st.builds(lambda u: AlgebraType.create("E", 6, u, 2), st.integers(1, 12)),
+)
+
+
+@given(algebra_types)
+@settings(max_examples=100, deadline=None)
+def test_closed_form_matches_oracle_on_random_types(at):
+    for t in at.diagram.labels:
+        assert rd_closed(at, t).rd == rd_oracle(at, Vertex(0, t)).rd, (at.describe(), t)
 
 
 class TestMembershipCharacterizations:
