@@ -3,11 +3,17 @@
 A single orbit M = G.v is maximal r-orthogonal when the complement of M in
 ZD is exactly the union of the forward hammocks of the first r omega
 shifts of M.  The check runs over one fundamental domain (a full period of
-x-coordinates times all labels); a certificate carries the violating
-vertices so negative answers are debuggable.  The cover is built from the
-per-diagram cached incidence of the backward hammocks
-(``hammock_incidence``) and the orbit offsets of the labels, as integer
-pairs (label, x mod period).
+x-coordinates times all labels); a certificate can list the violating
+vertices so negative answers are debuggable.
+
+The cover is one ``period``-bit integer per label, bit x standing for the
+vertex (x, label) modulo the period.  omega^2 fixes every label, so it is a
+translation by D and omega^(j+2q)(v) = omega^j(v) + (qD, 0) for the two
+phases j = 1, 2.  Each phase turns the cached backward-hammock incidence
+(``hammock_incidence``) and the orbit offsets of the labels into one bit
+pattern per label, and ORs in its rotations by qD through binary doubling,
+so a certificate does O(labels . log r) big-int rotations and no walk of
+r omega steps.
 
 The closed-form rigidity dimensions cover the three families where a
 single orbit does certify: the two type-A families, the twisted type-A
@@ -16,12 +22,12 @@ family, and the exceptional E7 family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .quiver import (
     AlgebraType,
     Vertex,
-    group_member,
     hammock_incidence,
     omega,
     orbit_offsets,
@@ -46,17 +52,57 @@ class OrthogonalityCertificate:
 
     ``uncovered`` lists the violation witnesses inside the fundamental
     domain: complement vertices missed by every forward hammock, and orbit
-    vertices wrongly hit by one.  It is empty exactly when ``is_maximal``.
-    ``stability_ok`` records whether the orbit is stable under tau.omega^r,
-    a necessary condition for maximality.
+    vertices wrongly hit by one, ordered by x and then by
+    ``Diagram.labels``.  It is empty exactly when ``is_maximal``.  It is
+    built from ``gaps`` (per label, the bits x of its violations) when it
+    is first read, so callers that read only ``is_maximal`` pay nothing
+    for it.  ``stability_ok`` records whether the orbit is stable under
+    tau.omega^r, a necessary condition for maximality.
     """
 
     atype: AlgebraType
     generator_vertex: Vertex
     r: int
     is_maximal: bool
-    uncovered: tuple[Vertex, ...]
     stability_ok: bool
+    gaps: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def uncovered(self) -> tuple[Vertex, ...]:
+        labels = self.atype.diagram.labels
+        width = f"0{self.atype.period}b"
+        # one string per label, reversed so that character x is bit x
+        rows = [format(bits, width)[::-1] for bits in self.gaps]
+        return tuple(
+            Vertex(x, t)
+            for x, column in enumerate(zip(*rows))
+            for t, bit in zip(labels, column)
+            if bit == "1"
+        )
+
+
+def _rotate(bits: int, k: int, period: int, full: int) -> int:
+    """Rotate a period-bit mask so that bit x moves to bit (x + k) mod period."""
+    return ((bits << k) | (bits >> (period - k))) & full
+
+
+def _rotations(bits: int, step: int, count: int, period: int, full: int) -> int:
+    """OR of the rotations of bits by q.step for q < count, by binary doubling.
+
+    ``bits`` grows into the OR over q < 2^k, whose rotation by 2^k.step
+    doubles it; the set bits of count pick the blocks to lay end to end.
+    """
+    out = offset = 0
+    span = step % period
+    while count > 0:
+        if count & 1:
+            out |= _rotate(bits, offset, period, full)
+            offset = (offset + span) % period
+        count >>= 1
+        if count:
+            bits |= _rotate(bits, span, period, full)
+            span = 2 * span % period
+    return out
 
 
 def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> OrthogonalityCertificate:
@@ -65,41 +111,57 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
     A vertex z lies in the forward hammock of omega^i(w) for some w in the
     orbit of v precisely when some group translate of omega^i(v) lies in
     the backward hammock of z; that reformulation reduces the whole check
-    to residue bookkeeping modulo the group's translation period.
+    to bit masks modulo the group's translation period.  The omega shifts
+    of v are omega^j(v) translated by qD (phase j = 1, 2; D the x-shift of
+    omega^2, read off two ``omega`` calls), so each phase's per-label
+    pattern is rotated into place and the work grows with log r, not r.
     """
     if r < 0:
         raise ValueError(f"orthogonality degree must be non-negative, got {r}")
     atype.diagram.check_label(v.t)
     diagram = atype.diagram
     period = atype.period
+    full = (1 << period) - 1
 
     incidence = hammock_incidence(diagram)
     offsets = orbit_offsets(atype)
-    covered: set[tuple] = set()
-    w = v
-    for _ in range(r):
-        w = omega(diagram, w)
+    first = omega(diagram, v)
+    phases = (first, omega(diagram, first))
+    shift = phases[1].x - v.x
+    cover = dict.fromkeys(diagram.labels, 0)
+    for j, w in enumerate(phases, 1):
+        count = (r - j) // 2 + 1  # the degrees j, j + 2, ... up to r
+        if count <= 0:
+            continue
+        pattern = dict.fromkeys(diagram.labels, 0)
         for c, ox in offsets[w.t]:
-            xc = w.x + ox
-            covered.update([(t, (xc - dx) % period) for t, dx in incidence[c]])
+            for t, dx in incidence[c]:
+                pattern[t] |= 1 << ((ox - dx) % period)
+        for t, bits in pattern.items():
+            swept = _rotations(bits, shift, count, period, full)
+            cover[t] |= _rotate(swept, w.x % period, period, full)
 
     # maximal: exactly the vertices off the orbit are covered, so once the
-    # orbit is toggled in, every cell should be in the set; labels come in
-    # sort-key order, so the violations come out sorted
-    covered ^= orbit_residues(atype, v)
-    labels = diagram.labels
-    violations = tuple(
-        Vertex(x, t) for x in range(period) for t in labels if (t, x) not in covered
-    )
+    # orbit is toggled in, every bit should be set
+    residues = orbit_residues(atype, v)
+    for t, x in residues:
+        cover[t] ^= 1 << x
+    gaps = tuple(full ^ bits for bits in cover.values())
 
-    stability = group_member(atype, v, tau(w))
+    # omega^r(v) by the same phase formula; omega^0(v) = v
+    if r == 0:
+        last = v
+    else:
+        j = 2 - r % 2
+        last = Vertex(phases[j - 1].x + (r - j) // 2 * shift, phases[j - 1].t)
+    end = tau(last)
     return OrthogonalityCertificate(
         atype=atype,
         generator_vertex=v,
         r=r,
-        is_maximal=not violations,
-        uncovered=violations,
-        stability_ok=stability,
+        is_maximal=not any(gaps),
+        stability_ok=(end.t, end.x % period) in residues,
+        gaps=gaps,
     )
 
 
@@ -184,8 +246,9 @@ def rigdim_verify(atype: AlgebraType) -> RigdimVerification:
             f"type {atype.describe()} is outside the closed-form rigidity-dimension families"
         )
     base = Vertex(0, 1)
-    rd_base = rd_closed(atype, 1).rd
+    # every family's labels start with 1, the generating label
     all_rds = [rd_closed(atype, t).rd for t in atype.diagram.labels]
+    rd_base = all_rds[0]
     certificate = is_maximal_orthogonal(atype, base, formula.r)
     return RigdimVerification(
         atype=atype,

@@ -173,6 +173,11 @@ class TestRigdimCommand:
         assert payload["r"] == 66 and payload["rigdim"] == 68
         assert payload["verified"] is True
 
+    def test_e7_family_at_large_a(self, capsys):
+        status, out, _ = run_cli(capsys, "rigdim", "--delta", "E", "--rank", "7", "--u", "9005")
+        assert status == 0
+        assert out == "type (E7, 9005, 1): family E7:u=9a+5, r=119066, rigdim=119068 [verified]\n"
+
     def test_outside_families(self, capsys):
         status, out, _ = run_cli(
             capsys, "rigdim", "--delta", "D", "--rank", "6", "--u", "2", "--s", "1",

@@ -20,6 +20,7 @@ from rigidity_kit import (
     rd_closed,
     rigdim_closed,
     rigdim_verify,
+    tau,
 )
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
@@ -135,16 +136,50 @@ REFERENCE_TYPES = (
 )
 
 
+def literal_stability(atype, v, r):
+    """Whether tau.omega^r(v), reached by r single omega steps, lies in the orbit of v."""
+    w = v
+    for _ in range(r):
+        w = omega(atype.diagram, w)
+    return group_member(atype, v, tau(w))
+
+
+def outcome(cert):
+    return cert.is_maximal, cert.uncovered, cert.stability_ok
+
+
 @pytest.mark.parametrize("atype", REFERENCE_TYPES, ids=lambda at: at.describe())
 def test_certificate_matches_definition(atype):
-    # the certificate's cached incidence and orbit offsets must reproduce the
-    # violations of the defining covering condition, in sorted order
+    # the certificate's rotated bit patterns must reproduce the violations of
+    # the defining covering condition, in sorted order; degrees around one and
+    # two periods reach both omega^2 phases, odd and even r and saturated covers
+    p = atype.period
     for t in atype.diagram.labels:
         for x in (0, 3):
             v = Vertex(x, t)
-            for r in sorted({0, 1, 2, 5, rd_closed(atype, t).rd}):
+            for r in sorted({0, 1, 2, 5, rd_closed(atype, t).rd, p - 1, p, p + 1, 2 * p + 3}):
                 cert = is_maximal_orthogonal(atype, v, r)
                 assert list(cert.uncovered) == reference_violations(atype, v, r), (t, x, r)
+                assert cert.is_maximal == (cert.uncovered == ()), (t, x, r)
+                assert cert.stability_ok == literal_stability(atype, v, r), (t, x, r)
+
+
+@pytest.mark.parametrize("atype", REFERENCE_TYPES, ids=lambda at: at.describe())
+def test_certificate_is_periodic_in_large_degrees(atype):
+    # from r = 2 * period on both phases cover every rotation they can reach,
+    # and omega^(2 * period) is a translation by a period-multiple
+    p = atype.period
+    for t in atype.diagram.labels:
+        v = Vertex(3, t)
+        for r in (2 * p, 2 * p + 1, 2 * p + 3):
+            assert outcome(is_maximal_orthogonal(atype, v, r)) == outcome(
+                is_maximal_orthogonal(atype, v, r + 2 * p)
+            ), (t, r)
+        huge = 10**12
+        reduced = 2 * p + huge % (2 * p)
+        assert outcome(is_maximal_orthogonal(atype, v, huge)) == outcome(
+            is_maximal_orthogonal(atype, v, reduced)
+        ), t
 
 
 class TestHalfLineFamily:
@@ -212,6 +247,12 @@ class TestRigdimVerify:
         record = rigdim_verify(AlgebraType.from_shift("A", 1, 4, 1))
         assert record.passed
         assert (record.formula.r, record.formula.rigdim) == (3, 5)
+
+    def test_e7_at_large_a(self):
+        # a = 1000: r = 119,066; the cover does O(log r) rotations per label
+        record = rigdim_verify(AlgebraType.create("E", 7, 9005, 1))
+        assert record.passed and record.failures() == []
+        assert (record.formula.a, record.formula.r) == (1000, 119066)
 
     def test_rejects_outside_families(self):
         with pytest.raises(ValueError):

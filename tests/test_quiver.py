@@ -82,6 +82,18 @@ class TestOmega:
         for t in d.labels:
             assert omega(d, Vertex(1, t)) == Vertex(1 + shift, t)
 
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 10)), ("D", range(4, 11)), ("E", range(6, 9))]
+    )
+    def test_square_is_label_fixing_translation(self, family, ranks):
+        # the certificate's cover rotates one bit pattern per phase by this shift
+        for rank in ranks:
+            d = Diagram(family, rank)
+            shift = d.h_star if family == "A" else 2 * d.h_star
+            for t in d.labels:
+                for x in (0, -4):
+                    assert omega(d, omega(d, Vertex(x, t))) == Vertex(x + shift, t)
+
     def test_commutes_with_tau(self):
         for d in (Diagram("A", 5), Diagram("D", 6), Diagram("E", 7)):
             for t in d.labels:
