@@ -4,7 +4,8 @@ Two independent computations of the rigidity degree of the module sitting
 at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
-  weight/Fibonacci sequences of one Euclidean division;
+  weight/Fibonacci sequences of one Euclidean division per type, memoised,
+  so the labels of one type share it;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -78,24 +79,25 @@ def _fib_interval_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int,
     scale*Fb_l; t == s_length with odd length gives scale*(Fb_length -
     Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.
     """
-    data = weight_sequence(m_pair, n_pair)
-    L = data.length
     if t >= n_pair:
         return 0, "zero(l=-1)"
+    data = weight_sequence(m_pair, n_pair)
+    s, fb = data.s, data.fb  # s[j] is s_{j+1} and fb[l + 1] is Fb_l
+    L = len(data.k)
     j = 0
-    while data.s_at(j + 1) > t:
+    while s[j] > t:
         j += 1
     # now s_{j+1} <= t < s_j
-    if t == data.s_at(j + 1):
+    if t == s[j]:
         jj = j + 1
         if jj % 2 == 1:
             if jj < L:
-                return scale * data.fb_at(jj), f"closed(l={jj})"
-            return scale * (data.fb_at(L) - data.fb_at(L - 1)), f"tail(l={L})"
-        return scale * data.fb_at(jj - 1), f"closed(l={jj - 1})"
+                return scale * fb[jj + 1], f"closed(l={jj})"
+            return scale * (fb[L + 1] - fb[L]), f"tail(l={L})"
+        return scale * fb[jj], f"closed(l={jj - 1})"
     if j % 2 == 1 and j < L:
-        return scale * data.fb_at(j), f"closed(l={j})"
-    return scale * data.fb_at(j) - 1, f"open(l={j})"
+        return scale * fb[j + 1], f"closed(l={j})"
+    return scale * fb[j + 1] - 1, f"open(l={j})"
 
 
 def _rd_closed_a(atype: AlgebraType, t: int) -> tuple[int, str]:
@@ -298,7 +300,7 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     The rigidity degree counts the consecutive vanishing self-extensions, so
     it is one less than the first self-extension degree.  That degree is at
     most the omega period of v, because v lies in its own hammock; a walk
-    longer than the step cap of ``omega_period`` raises ``RuntimeError``.
+    longer than ``_step_cap`` raises ``RuntimeError``.
     """
     cap = _step_cap(atype)
     for i, hit in islice(_omega_walk(atype, v), cap):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -63,6 +64,32 @@ class TestWeightSequence:
     def test_rejects_non_positive(self, m, n):
         with pytest.raises(ValueError):
             weight_sequence(m, n)
+
+    # each bad pair follows a call on its equal int pair, where one exists,
+    # so the memo's last entry must not answer it
+    @pytest.mark.parametrize(
+        "m,n,twin",
+        [
+            (6.0, 3, (6, 3)),
+            (6, 3.0, (6, 3)),
+            (2.5, 4, None),
+            (True, 3, (1, 3)),
+            (3, True, (3, 1)),
+            (Fraction(6), 3, (6, 3)),
+            ("6", 3, None),
+        ],
+    )
+    def test_rejects_non_integers(self, m, n, twin):
+        if twin is not None:
+            weight_sequence(*twin)
+        with pytest.raises(ValueError, match="must be integers"):
+            weight_sequence(m, n)
+
+    @given(st.integers(1, 10**7), st.integers(1, 10**7))
+    def test_memo_returns_the_division(self, m, n):
+        # once to fill the one-entry memo, once to read it
+        for _ in range(2):
+            assert weight_sequence(m, n) == weight_sequence.__wrapped__(m, n)
 
     def test_index_conventions(self):
         data = weight_sequence(9, 17)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
+from rigidity_kit.rigidity import _fib_interval_rd
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
 
@@ -256,6 +258,94 @@ algebra_types = st.one_of(
 def test_closed_form_matches_oracle_on_random_types(at):
     for t in at.diagram.labels:
         assert rd_closed(at, t).rd == rd_oracle(at, Vertex(0, t)).rd, (at.describe(), t)
+
+
+def interval_rd_by_definition(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
+    """The rows of ``_fib_interval_rd``'s docstring, read through ``s_at``/``fb_at``.
+
+    Every row is tried, and exactly one must hold t.
+    """
+    if t >= n_pair:
+        return 0, "zero(l=-1)"
+    data = weight_sequence(m_pair, n_pair)
+    L = data.length
+    rows = []
+    for l in range(L + 1):
+        lo, hi = data.s_at(l + 1), data.s_at(l)
+        if l % 2 == 1 and l < L:
+            if lo <= t <= hi:
+                rows.append((scale * data.fb_at(l), f"closed(l={l})"))
+        elif lo < t < hi:
+            rows.append((scale * data.fb_at(l) - 1, f"open(l={l})"))
+    if L % 2 == 1 and t == data.s_at(L):
+        rows.append((scale * (data.fb_at(L) - data.fb_at(L - 1)), f"tail(l={L})"))
+    assert len(rows) == 1, (m_pair, n_pair, t, rows)
+    return rows[0]
+
+
+def test_interval_scan_matches_definition_on_random_pairs():
+    rng = random.Random(20221)
+    for _ in range(150):
+        n = rng.randint(1, 500)
+        m = rng.choice([rng.randint(1, n), rng.randint(n, 3 * n), n * rng.randint(1, 4)])
+        scale = rng.choice([1, 2])
+        for t in range(1, n + 3):
+            got = _fib_interval_rd(m, n, t, scale)
+            assert got == interval_rd_by_definition(m, n, t, scale), (m, n, t, scale)
+
+
+@given(st.integers(1, 10**7), st.integers(1, 10**7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_interval_scan_matches_definition(m, n, data):
+    # the rows meet at the remainders and at n, so t is often drawn next to one
+    ends = weight_sequence(m, n).s + (n,)
+    near_end = st.builds(lambda e, d: max(1, e + d), st.sampled_from(ends), st.integers(-1, 1))
+    t = data.draw(st.one_of(st.integers(1, n + 2), near_end))
+    scale = data.draw(st.sampled_from([1, 2]))
+    assert _fib_interval_rd(m, n, t, scale) == interval_rd_by_definition(m, n, t, scale)
+
+
+# every family and twist order, fractional type D included, at u <= 10**6
+large_u_types = st.one_of(
+    st.builds(AlgebraType.from_shift, st.just("A"), st.integers(1, 40), st.integers(1, 10**6)),
+    st.builds(lambda rank, u: AlgebraType.create("A", rank, u, 2),
+              st.sampled_from(range(3, 42, 2)), st.integers(1, 10**6)),
+    st.builds(lambda rank, u, s: AlgebraType.create("D", rank, u, s),
+              st.integers(4, 40), st.integers(1, 10**6), st.sampled_from([1, 2])),
+    st.builds(lambda rank, v: AlgebraType.create("D", rank, Fraction(v, 3), 1),
+              st.sampled_from(range(6, 40, 3)), st.integers(1, 3 * 10**6).filter(lambda v: v % 3)),
+    st.builds(lambda u: AlgebraType.create("D", 4, u, 3), st.integers(1, 10**6)),
+    st.builds(lambda rank, u: AlgebraType.create("E", rank, u, 1),
+              st.sampled_from([6, 7, 8]), st.integers(1, 10**6)),
+    st.builds(lambda u: AlgebraType.create("E", 6, u, 2), st.integers(1, 10**6)),
+)
+
+
+@given(large_u_types)
+@settings(max_examples=60, deadline=None)
+def test_weight_sequence_memo_is_invisible(at):
+    labels = at.diagram.labels
+    # each evicting type shares one side of the division with ``at``: the
+    # same diagram at u + 1 keeps m (except type A s=2), and type A of rank
+    # + 1 at the same n divides (rank + 2, n)
+    others = (
+        AlgebraType.create(at.diagram.family, at.diagram.rank, at.u + 1, at.s),
+        AlgebraType.from_shift("A", at.diagram.rank + 1, at.n),
+    )
+    cold = []
+    for t in labels:
+        weight_sequence.cache_clear()
+        cold.append(rd_closed(at, t))
+    warm = [rd_closed(at, t) for t in labels]
+    for other in others:
+        weight_sequence.cache_clear()
+        other_cold = rd_closed(other, 1)
+        evicted = []
+        for t in labels:
+            assert rd_closed(other, 1) == other_cold
+            evicted.append(rd_closed(at, t))
+        assert evicted == cold
+    assert warm == cold
 
 
 class TestMembershipCharacterizations:
