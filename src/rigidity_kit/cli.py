@@ -5,7 +5,8 @@ type), ``verify`` (closed-form vs oracle sweeps), ``rigdim`` (rigidity
 dimension of the single-orbit families) and ``hammock`` (hammock and
 orbit-quiver export, including DOT).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid type spec.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (type spec,
+sweep bounds) or an ``--output`` path that cannot be written.
 Output is deterministic for identical configurations.  ``verify`` takes
 its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
 in one process, through ``rigidity.agreement``.
@@ -365,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -7,10 +7,12 @@ supports of the stable Hom functor computed by mesh knitting.
 
 The integer geometry of each diagram is built once and cached per diagram,
 never per algebra type: the omega and phi step tables (``omega`` and
-``phi`` are lookups in them), the knitted hammocks as integer cells
-(``hammock_cells``) and their transpose ``hammock_incidence``.  Labels are
-checked where they enter: a label missing from a table raises the
-``ValueError`` of ``Diagram.check_label``, with no check on every step.
+``phi`` are lookups in them), the knitting plan over label indices
+(``_knit_plan``), the knitted hammocks as integer cells (``hammock_cells``)
+and their transpose ``hammock_incidence``.  Only ``orbit_offsets`` depends
+on the algebra type, and it keeps the last type alone.  Labels are checked
+where they enter: a label missing from a table raises the ``ValueError`` of
+``Diagram.check_label``, with no check on every step.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -383,11 +385,14 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
 
+@lru_cache(maxsize=1)
 def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
     """``orbit_reps(atype, Vertex(0, t))`` of every label t, as pairs (t', dx).
 
     As phi commutes with tau, the orbit of (x, t) is the translates by
-    period-multiples of the vertices (x + dx, t').
+    period-multiples of the vertices (x + dx, t').  Memoised for the last
+    type only, since callers go through one type's labels in a row; the
+    returned dict is shared by every caller of the cache, so never mutate it.
     """
     return {
         t: tuple((r.t, r.x) for r in orbit_reps(atype, Vertex(0, t)))
@@ -424,35 +429,63 @@ class Hammock:
         return sorted(self.members, key=Vertex.sort_key)
 
 
+@lru_cache(maxsize=None)
+def _knit_plan(
+    family: str, rank: int, forward: bool
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The mesh recurrence of one diagram and direction over label indices.
+
+    One entry (c, ins, outs) per label in the order ``_knit_profile`` fills a
+    slice: sinks first for the backward hammock, sources first for the
+    forward one, whose in- and out-neighbours are swapped.  Indices are
+    positions in ``Diagram.labels``.
+    """
+    labels, _, ins, outs, order = _structure(family, rank)
+    if forward:
+        ins, outs = outs, ins
+        order = tuple(reversed(order))
+    index = {c: i for i, c in enumerate(labels)}
+    return tuple(
+        (index[c], tuple(index[a] for a in ins[c]), tuple(index[b] for b in outs[c]))
+        for c in order
+    )
+
+
 def _knit_profile(
     family: str, rank: int, t0: Label, forward: bool
 ) -> tuple[tuple[tuple[Label, int], ...], ...]:
     """Multiplicity profile of the hammock at (0, t0), one entry per slice.
 
     Slice 0 contains the base; subsequent slices sit at x-offset +i for the
-    backward hammock and -i for the forward one.  The counter starts as the
-    indicator of the labels reachable from t0 inside the base slice and is
-    propagated with the mesh recurrence, clamped at zero.  Dynkin hammocks
-    die out within m_delta + 1 slices; a hard cap traps anything else.
+    backward hammock and -i for the forward one.  Each slice is a list of
+    multiplicities indexed like ``Diagram.labels``.  The first is the
+    indicator of the labels reachable from t0 inside the base slice; the
+    next is filled in ``_knit_plan`` order with the mesh recurrence
+    ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``, kept only when positive.
+    Dynkin hammocks die out within m_delta + 1 slices; a hard cap traps
+    anything else.
     """
-    labels, _, ins, outs, order = _structure(family, rank)
+    labels = _structure(family, rank)[0]
     if t0 not in labels:
         raise ValueError(f"label {t0!r} is not a vertex of {family}{rank}")
-    if forward:
-        ins, outs = outs, ins
-        order = tuple(reversed(order))
+    plan = _knit_plan(family, rank, forward)
     start = _reachable(family, rank, t0, against=not forward)
-    cur = {c: (1 if c in start else 0) for c in labels}
+    cur = [1 if c in start else 0 for c in labels]
     profile = [cur]
     cap = 4 * Diagram(family, rank).m_delta + 8
     for _ in range(cap):
-        nxt: dict[Label, int] = {}
-        for c in order:
-            total = sum(cur[a] for a in ins[c]) + sum(nxt[b] for b in outs[c])
-            nxt[c] = max(0, total - cur[c])
-        if not any(nxt.values()):
+        nxt = [0] * len(labels)
+        for c, ins, outs in plan:
+            total = -cur[c]
+            for a in ins:
+                total += cur[a]
+            for b in outs:
+                total += nxt[b]
+            if total > 0:
+                nxt[c] = total
+        if not any(nxt):
             return tuple(
-                tuple((c, slice_[c]) for c in labels if slice_[c] > 0)
+                tuple((c, k) for c, k in zip(labels, slice_) if k > 0)
                 for slice_ in profile
             )
         profile.append(nxt)
@@ -466,10 +499,10 @@ def hammock_cells(
 ) -> tuple[tuple[int, Label], ...]:
     """Members of the hammock based at (0, t) as pairs (dx, c), cached per diagram.
 
-    ``_knit_profile`` itself is not cached, so the oracle keeps one copy of
-    each hammock it walks against.  The backward hammock (support of stable
-    Hom(-, (0, t))) has dx >= 0, the forward one (forward=True, stable
-    Hom((0, t), -)) has dx <= 0.
+    ``_knit_profile`` itself is not cached (only its per-diagram integer plan
+    ``_knit_plan`` is), so the oracle keeps one copy of each hammock it walks
+    against.  The backward hammock (support of stable Hom(-, (0, t))) has
+    dx >= 0, the forward one (forward=True, stable Hom((0, t), -)) has dx <= 0.
     """
     sign = -1 if forward else 1
     profile = _knit_profile(diagram.family, diagram.rank, t, forward)

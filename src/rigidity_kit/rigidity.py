@@ -337,9 +337,9 @@ def sweep_types(
     Type A runs ranks 1..rank_max over raw shifts 1..n_max (s=1) or odd ranks
     3..rank_max over u = 1..u_max (s=2); type D runs ranks 4..rank_max (D4
     alone for s=3), or with ``fractional`` ranks 6, 9, ... over u = v/3 with
-    3 not dividing v; type E runs ``rank`` alone.  Missing bounds, bounds the
-    sweep does not use (``fractional`` outside type D included), invalid
-    types and an empty grid raise ``ValueError``.
+    3 not dividing v; type E runs ``rank`` alone.  Missing bounds, bounds
+    <= 0, bounds the sweep does not use (``fractional`` outside type D
+    included), invalid types and an empty grid raise ``ValueError``.
     """
     sweep = f"type {delta} s={s}"
     if delta == "A":
@@ -353,8 +353,11 @@ def sweep_types(
     else:
         needs = ("rank", "u_max")
     bounds = {"rank": rank, "rank_max": rank_max, "n_max": n_max, "u_max": u_max}
-    if not all(bounds[name] for name in needs):
+    if any(bounds[name] is None for name in needs):
         raise ValueError(f"{sweep} sweeps need {' and '.join(needs)}")
+    for name in needs:
+        if bounds[name] <= 0:
+            raise ValueError(f"{sweep} sweeps: {name} must be positive, got {bounds[name]}")
     unused = [name for name, value in bounds.items() if value is not None and name not in needs]
     if fractional and delta != "D":
         unused.append("fractional")

@@ -153,6 +153,48 @@ class TestVerifyCommand:
         assert status == 2 and out == ""
         assert "do not use" in err
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["--delta", "A", "--s", "1", "--rank-max", "0", "--n-max", "3"], "rank_max"),
+            (["--delta", "A", "--s", "1", "--rank-max", "3", "--n-max", "0"], "n_max"),
+            (["--delta", "A", "--s", "2", "--rank-max", "-2", "--u-max", "1"], "rank_max"),
+            (["--delta", "A", "--s", "2", "--rank-max", "5", "--u-max", "-1"], "u_max"),
+            (["--delta", "D", "--s", "1", "--rank-max", "0", "--u-max", "2"], "rank_max"),
+            (["--delta", "D", "--s", "2", "--rank-max", "5", "--u-max", "0"], "u_max"),
+            (["--delta", "D", "--s", "3", "--u-max", "0"], "u_max"),
+            (["--delta", "D", "--s", "1", "--fractional", "--rank-max", "-6",
+              "--u-max", "2"], "rank_max"),
+            (["--delta", "D", "--s", "1", "--fractional", "--rank-max", "6",
+              "--u-max", "0"], "u_max"),
+            (["--delta", "E", "--s", "1", "--rank", "0", "--u-max", "2"], "rank"),
+            (["--delta", "E", "--s", "1", "--rank", "6", "--u-max", "0"], "u_max"),
+            (["--delta", "E", "--s", "2", "--rank", "6", "--u-max", "-3"], "u_max"),
+        ],
+    )
+    def test_non_positive_bound_exit_2(self, capsys, argv, bound):
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert status == 2 and out == ""
+        assert f": {bound} must be positive, got " in err
+        assert "need" not in err
+
+    @pytest.mark.parametrize(
+        "argv,needs",
+        [
+            (["--delta", "A", "--s", "1", "--rank-max", "3"], "type A s=1 sweeps need rank_max and n_max"),
+            (["--delta", "A", "--s", "2", "--u-max", "3"], "type A s=2 sweeps need rank_max and u_max"),
+            (["--delta", "D", "--s", "2", "--rank-max", "5"], "type D s=2 sweeps need rank_max and u_max"),
+            (["--delta", "D", "--s", "3"], "type D s=3 sweeps need u_max"),
+            (["--delta", "D", "--s", "1", "--fractional", "--u-max", "2"],
+             "fractional type D sweeps need rank_max and u_max"),
+            (["--delta", "E", "--s", "1", "--u-max", "2"], "type E s=1 sweeps need rank and u_max"),
+        ],
+    )
+    def test_missing_bound_names_the_sweep_needs(self, capsys, argv, needs):
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert status == 2 and out == ""
+        assert err == f"error: {needs}\n"
+
     def test_type_a_rejects_twist_3(self, capsys):
         status, out, err = run_cli(
             capsys, "verify", "--delta", "A", "--s", "3",
@@ -222,6 +264,17 @@ class TestHammockCommand:
         )
         assert status == 0
         assert out.startswith("digraph orbit_quiver {")
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        status, out, err = run_cli(
+            capsys, "hammock", "--delta", "A", "--rank", "3", "--u", "1",
+            "--t", "2", "--format", "json", "--output", str(target),
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(target) in err
+        assert not target.exists()
 
     def test_orbit_requires_dot(self, capsys):
         status, _, err = run_cli(

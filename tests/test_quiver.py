@@ -29,7 +29,14 @@ from rigidity_kit import (
     se_oracle,
     tau,
 )
-from rigidity_kit.quiver import hammock_cells, hammock_incidence, orbit_residues
+from rigidity_kit.quiver import (
+    _knit_profile,
+    _reachable,
+    _structure,
+    hammock_cells,
+    hammock_incidence,
+    orbit_residues,
+)
 
 
 class TestTau:
@@ -434,6 +441,75 @@ class TestHammockIdentities:
         assert len(hammock_plus(d, v)) == len(hammock_minus(d, v))
 
 
+def reference_knit_profile(family, rank, t0, forward):
+    """The dict-per-slice knitting that ``_knit_profile`` replaced, kept as a reference."""
+    labels, _, ins, outs, order = _structure(family, rank)
+    if t0 not in labels:
+        raise ValueError(f"label {t0!r} is not a vertex of {family}{rank}")
+    if forward:
+        ins, outs = outs, ins
+        order = tuple(reversed(order))
+    start = _reachable(family, rank, t0, against=not forward)
+    cur = {c: (1 if c in start else 0) for c in labels}
+    profile = [cur]
+    cap = 4 * Diagram(family, rank).m_delta + 8
+    for _ in range(cap):
+        nxt = {}
+        for c in order:
+            total = sum(cur[a] for a in ins[c]) + sum(nxt[b] for b in outs[c])
+            nxt[c] = max(0, total - cur[c])
+        if not any(nxt.values()):
+            return tuple(
+                tuple((c, slice_[c]) for c in labels if slice_[c] > 0)
+                for slice_ in profile
+            )
+        profile.append(nxt)
+        cur = nxt
+    raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
+
+
+def all_profiles(d):
+    for t in d.labels:
+        for forward in (False, True):
+            yield t, forward, _knit_profile(d.family, d.rank, t, forward)
+
+
+class TestKnitKernel:
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 61)), ("D", range(4, 61)), ("E", (6, 7, 8))]
+    )
+    def test_matches_reference_knitting(self, family, ranks):
+        for rank in ranks:
+            for t, forward, profile in all_profiles(Diagram(family, rank)):
+                expected = reference_knit_profile(family, rank, t, forward)
+                assert profile == expected, (family, rank, t, forward)
+
+    @pytest.mark.parametrize("rank", range(1, 41))
+    def test_type_a_backward_hammock_sizes(self, rank):
+        d = Diagram("A", rank)
+        for t in d.labels:
+            assert len(hammock_cells(d, t)) == t * (rank + 1 - t), t
+
+    @pytest.mark.parametrize(
+        "family,ranks,top",
+        [("A", range(1, 13), 1), ("D", range(4, 21), 2),
+         ("E", (6,), 3), ("E", (7,), 4), ("E", (8,), 6)],
+    )
+    def test_largest_multiplicity_is_top_highest_root_coefficient(self, family, ranks, top):
+        for rank in ranks:
+            d = Diagram(family, rank)
+            largest = max(k for _, _, p in all_profiles(d) for slice_ in p for _, k in slice_)
+            assert largest == top, (family, rank)
+
+    @pytest.mark.parametrize(
+        "family,rank", [("D", r) for r in range(4, 41)] + [("E", 7), ("E", 8)]
+    )
+    def test_hammocks_span_h_star_slices(self, family, rank):
+        d = Diagram(family, rank)
+        for t, forward, profile in all_profiles(d):
+            assert len(profile) == d.h_star, (t, forward)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: exact Hom/Ext linear algebra over the rank-5 path algebra
 # of type D, compared against the knitted hammock profiles per label.
@@ -572,8 +648,6 @@ def test_d5_hammocks_match_exact_linear_algebra():
                 stats[(classes[i], "count")] += 1
                 stats[(classes[i], "dim")] += ext[i][j]
         return stats
-
-    from rigidity_kit.quiver import _knit_profile
 
     def knitted_profile(t):
         stats = Counter()

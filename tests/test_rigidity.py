@@ -26,6 +26,7 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
+from rigidity_kit.quiver import orbit_offsets
 from rigidity_kit.rigidity import _fib_interval_rd
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
@@ -346,6 +347,52 @@ def test_weight_sequence_memo_is_invisible(at):
             evicted.append(rd_closed(at, t))
         assert evicted == cold
     assert warm == cold
+
+
+# every family and twist order, fractional type D included, at u small
+# enough for the oracle walk
+small_u_types = st.one_of(
+    st.builds(AlgebraType.from_shift, st.just("A"), st.integers(1, 8), st.integers(1, 20)),
+    st.builds(lambda rank, u: AlgebraType.create("A", rank, u, 2),
+              st.sampled_from([3, 5, 7]), st.integers(1, 4)),
+    st.builds(lambda rank, u, s: AlgebraType.create("D", rank, u, s),
+              st.integers(4, 8), st.integers(1, 4), st.sampled_from([1, 2])),
+    st.builds(lambda rank, v: AlgebraType.create("D", rank, Fraction(v, 3), 1),
+              st.sampled_from([6, 9]), st.integers(1, 11).filter(lambda v: v % 3)),
+    st.builds(lambda u: AlgebraType.create("D", 4, u, 3), st.integers(1, 6)),
+    st.builds(lambda rank, u: AlgebraType.create("E", rank, u, 1),
+              st.sampled_from([6, 7, 8]), st.integers(1, 3)),
+    st.builds(lambda u: AlgebraType.create("E", 6, u, 2), st.integers(1, 3)),
+)
+
+
+@given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_orbit_offsets_memo_is_invisible(types):
+    def report(at, t):
+        return rd_oracle(at, Vertex(0, t))
+
+    cold = {}
+    for at in types:
+        orbit_offsets.cache_clear()
+        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+        reports = []
+        for t in at.diagram.labels:
+            orbit_offsets.cache_clear()
+            reports.append(report(at, t))
+        cold[at] = reports
+    for at in types:
+        # warm: one type's labels in a row, each after the first a hit
+        assert [report(at, t) for t in at.diagram.labels] == cold[at]
+        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+    # evicted: alternate the types label by label, so each call replaces the entry
+    evicted = {at: [] for at in types}
+    for k in range(max(len(at.diagram.labels) for at in types)):
+        for at in types:
+            if k < len(at.diagram.labels):
+                assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+                evicted[at].append(report(at, at.diagram.labels[k]))
+    assert evicted == cold
 
 
 class TestMembershipCharacterizations:
