@@ -8,11 +8,14 @@ supports of the stable Hom functor computed by mesh knitting.
 The integer geometry of each diagram is built once and cached per diagram,
 never per algebra type: the omega and phi step tables (``omega`` and
 ``phi`` are lookups in them), the knitting plan over label indices
-(``_knit_plan``), the knitted hammocks as integer cells (``hammock_cells``)
-and their transpose ``hammock_incidence``.  Only ``orbit_offsets`` depends
-on the algebra type, and it keeps the last type alone.  Labels are checked
-where they enter: a label missing from a table raises the ``ValueError`` of
-``Diagram.check_label``, with no check on every step.
+(``_knit_plan``), and three readings of the knitted hammocks: the backward
+hammocks by label (``hammock_columns``, the oracle's), their transpose
+``hammock_incidence`` (the certificate's), and the cells as pairs
+(``hammock_cells``), which serve ``hammock_minus`` and ``hammock_plus``
+only.  Only ``orbit_offsets`` depends on the algebra type, and it keeps the
+last type alone.  Labels are checked where they enter, by
+``Diagram.check_label`` against a per-diagram set, with no check on every
+step: a label missing from a table raises its ``ValueError``.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -38,6 +41,7 @@ __all__ = [
     "group_generator",
     "group_member",
     "hammock_cells",
+    "hammock_columns",
     "hammock_dot",
     "hammock_incidence",
     "hammock_minus",
@@ -67,7 +71,7 @@ def _label_key(t: Label) -> tuple[int, int]:
     return (1, 0 if t == SPINE_PLUS else 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     x: int
     t: Label
@@ -123,11 +127,13 @@ class Diagram:
     def arrows(self) -> tuple[tuple[Label, Label], ...]:
         return _structure(self.family, self.rank)[1]
 
-    def is_label(self, t: Label) -> bool:
-        return t in self.labels
-
     def check_label(self, t: Label) -> None:
-        if not self.is_label(t):
+        """Raise ``ValueError`` unless t is one of the labels, by type and value.
+
+        A bool or a float equal to an integer label is rejected, as is a
+        spine string outside type D.
+        """
+        if type(t) not in (int, str) or t not in _label_set(self.family, self.rank):
             raise ValueError(f"label {t!r} is not a vertex of {self.family}{self.rank}")
 
 
@@ -173,6 +179,12 @@ def _structure(family: str, rank: int):
         else:  # pragma: no cover - the diagram is a tree
             raise AssertionError("orientation is cyclic")
     return labels, arrows, ins, outs, tuple(placed)
+
+
+@lru_cache(maxsize=None)
+def _label_set(family: str, rank: int) -> frozenset[Label]:
+    """The labels as a set, for ``Diagram.check_label``."""
+    return frozenset(_structure(family, rank)[0])
 
 
 @lru_cache(maxsize=None)
@@ -465,14 +477,14 @@ def _knit_profile(
     Dynkin hammocks die out within m_delta + 1 slices; a hard cap traps
     anything else.
     """
-    labels = _structure(family, rank)[0]
-    if t0 not in labels:
-        raise ValueError(f"label {t0!r} is not a vertex of {family}{rank}")
+    diagram = Diagram(family, rank)
+    diagram.check_label(t0)
+    labels = diagram.labels
     plan = _knit_plan(family, rank, forward)
     start = _reachable(family, rank, t0, against=not forward)
     cur = [1 if c in start else 0 for c in labels]
     profile = [cur]
-    cap = 4 * Diagram(family, rank).m_delta + 8
+    cap = 4 * diagram.m_delta + 8
     for _ in range(cap):
         nxt = [0] * len(labels)
         for c, ins, outs in plan:
@@ -500,13 +512,29 @@ def hammock_cells(
     """Members of the hammock based at (0, t) as pairs (dx, c), cached per diagram.
 
     ``_knit_profile`` itself is not cached (only its per-diagram integer plan
-    ``_knit_plan`` is), so the oracle keeps one copy of each hammock it walks
-    against.  The backward hammock (support of stable Hom(-, (0, t))) has
-    dx >= 0, the forward one (forward=True, stable Hom((0, t), -)) has dx <= 0.
+    ``_knit_plan`` is), so ``hammock_minus`` and ``hammock_plus`` knit each
+    hammock once.  The backward hammock (support of stable Hom(-, (0, t)))
+    has dx >= 0, the forward one (forward=True, stable Hom((0, t), -)) has
+    dx <= 0.
     """
     sign = -1 if forward else 1
     profile = _knit_profile(diagram.family, diagram.rank, t, forward)
     return tuple((sign * i, c) for i, slice_ in enumerate(profile) for c, _ in slice_)
+
+
+@lru_cache(maxsize=None)
+def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
+    """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
+
+    Labels the hammock misses have no entry.  Cached per diagram and shared
+    by every caller; never mutate it.  It is read from the knitting directly,
+    so the oracle caches no hammock cells.
+    """
+    columns: dict[Label, list[int]] = {}
+    for dx, slice_ in enumerate(_knit_profile(diagram.family, diagram.rank, t, False)):
+        for c, _ in slice_:
+            columns.setdefault(c, []).append(dx)
+    return {c: tuple(dxs) for c, dxs in columns.items()}
 
 
 @lru_cache(maxsize=None)
@@ -527,12 +555,14 @@ def hammock_incidence(diagram: Diagram) -> dict[Label, tuple[tuple[Label, int], 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:
     """Support of stable Hom(-, v), knitted backwards against the arrows."""
+    diagram.check_label(v.t)
     members = frozenset(Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t))
     return Hammock(base=v, members=members)
 
 
 def hammock_plus(diagram: Diagram, v: Vertex) -> Hammock:
     """Support of stable Hom(v, -), knitted forwards along the arrows."""
+    diagram.check_label(v.t)
     members = frozenset(
         Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t, forward=True)
     )

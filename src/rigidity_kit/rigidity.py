@@ -9,10 +9,11 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
-  the omega period, since the base vertex lies in its own hammock.  Its
-  targets are integer pairs (label, x mod period) built once per call from
-  the knitted hammock and the orbit offsets; each step is one ``omega``
-  table lookup and one set test.
+  the omega period, since the base vertex lies in its own hammock.  For each
+  label it reaches, the walk builds once per call the set of x-offsets mod
+  period, relative to the base, at which a vertex of that label meets the
+  hammock, from the cached hammock columns and the orbit offsets; each step
+  is one ``omega`` table lookup and one set test.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -31,9 +32,10 @@ from .quiver import (
     SPINE_MINUS,
     SPINE_PLUS,
     AlgebraType,
+    Label,
     Vertex,
     group_member,
-    hammock_cells,
+    hammock_columns,
     omega,
     orbit_offsets,
 )
@@ -251,23 +253,28 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
 def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
     """Yield (i, hit) for i = 1, 2, ...: whether i is a self-extension degree of v.
 
-    Degree i qualifies when some group translate of the i-th omega shift of
-    v lands in the hammock of v.  The targets are the hammock members reduced
-    modulo the group, as integer pairs (label, x mod period) offset from
-    v.x; each step is then one ``omega`` call and one set test.
+    Degree i qualifies when some group translate of w, the i-th omega shift
+    of v, lands in the hammock of v.  The orbit of w is the translates by
+    period-multiples of (w.x + ox, c) over the orbit offsets of w.t, so that
+    holds exactly when (w.x - v.x) mod period is some dx - ox with dx in the
+    hammock's column of c.  Those residues are built once per label the walk
+    reaches; each step is then one ``omega`` call and one set test.
     """
     diagram = atype.diagram
+    diagram.check_label(v.t)
     period = atype.period
     offsets = orbit_offsets(atype)
-    targets = {
-        (t, (v.x + dx + ox) % period)
-        for dx, c in hammock_cells(diagram, v.t)
-        for t, ox in offsets[c]
-    }
+    columns = hammock_columns(diagram, v.t)
+    hits: dict[Label, frozenset[int]] = {}
     w = v
     for i in count(1):
         w = omega(diagram, w)
-        yield i, (w.t, w.x % period) in targets
+        residues = hits.get(w.t)
+        if residues is None:
+            residues = hits[w.t] = frozenset(
+                (dx - ox) % period for c, ox in offsets[w.t] for dx in columns.get(c, ())
+            )
+        yield i, (w.x - v.x) % period in residues
 
 
 def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:

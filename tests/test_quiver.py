@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -34,9 +37,36 @@ from rigidity_kit.quiver import (
     _reachable,
     _structure,
     hammock_cells,
+    hammock_columns,
     hammock_incidence,
     orbit_residues,
 )
+
+
+class TestVertex:
+    def test_value_semantics_under_slots(self):
+        v = Vertex(3, SPINE_PLUS)
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.x = 4
+        # a new attribute has no slot; CPython 3.11's frozen __setattr__
+        # refuses it with a TypeError, later versions with FrozenInstanceError
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            v.y = 4
+        assert v == Vertex(3, SPINE_PLUS) and hash(v) == hash(Vertex(3, SPINE_PLUS))
+        assert v != Vertex(3, SPINE_MINUS) and v != Vertex(4, SPINE_PLUS)
+        copies = [pickle.loads(pickle.dumps(v, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(v), copy.copy(v), dataclasses.replace(v)]
+        for w in copies:
+            assert type(w) is Vertex and w == v and hash(w) == hash(v)
+        assert dataclasses.replace(v, x=-2) == Vertex(-2, SPINE_PLUS)
+
+    def test_sort_key_and_str(self):
+        assert Vertex(-2, 5).sort_key() == (-2, 0, 5)
+        assert Vertex(3, SPINE_PLUS).sort_key() == (3, 1, 0)
+        assert Vertex(3, SPINE_MINUS).sort_key() == (3, 1, 1)
+        assert str(Vertex(-2, 5)) == "(-2,5)" and str(Vertex(3, SPINE_MINUS)) == "(3,m-)"
 
 
 class TestTau:
@@ -234,6 +264,27 @@ class TestTables:
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("t", [True, 2.0], ids=repr)
+    def test_label_of_another_type_raises_check_label_error(self, t):
+        # True and 2.0 equal and hash like the labels 1 and 2, so each entry is
+        # warmed with the integer first: no cache hit may answer for them
+        at = AlgebraType.create("A", 5, 2, 1)
+        d = at.diagram
+        calls = [
+            lambda u: rd_closed(at, u),
+            lambda u: rd_oracle(at, Vertex(0, u)),
+            lambda u: se_oracle(at, Vertex(0, u), 5),
+            lambda u: is_maximal_orthogonal(at, Vertex(0, u), 2),
+            lambda u: hammock_minus(d, Vertex(0, u)),
+            lambda u: hammock_plus(d, Vertex(0, u)),
+        ]
+        message = f"label {t!r} is not a vertex of A5"
+        for call in calls:
+            call(int(t))
+            with pytest.raises(ValueError) as info:
+                call(t)
             assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -508,6 +559,19 @@ class TestKnitKernel:
         d = Diagram(family, rank)
         for t, forward, profile in all_profiles(d):
             assert len(profile) == d.h_star, (t, forward)
+
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))]
+    )
+    def test_columns_reassemble_backward_cells(self, family, ranks):
+        for rank in ranks:
+            d = Diagram(family, rank)
+            for t in d.labels:
+                columns = hammock_columns(d, t)
+                cells = {(dx, c) for c, dxs in columns.items() for dx in dxs}
+                assert cells == set(hammock_cells(d, t)), (rank, t)
+                for dxs in columns.values():
+                    assert dxs and list(dxs) == sorted(set(dxs)), (rank, t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from rigidity_kit import (
     Vertex,
     agreement,
     endpoint_scan,
+    group_member,
+    hammock_minus,
     omega,
     omega_period,
     rd_closed,
@@ -28,6 +30,7 @@ from rigidity_kit import (
 )
 from rigidity_kit.quiver import orbit_offsets
 from rigidity_kit.rigidity import _fib_interval_rd
+from test_orthogonal import REFERENCE_TYPES
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
 
@@ -174,7 +177,7 @@ class TestOracle:
         # an empty hammock never meets the walk; the step cap must stop it
         from rigidity_kit import rigidity
 
-        monkeypatch.setattr(rigidity, "hammock_cells", lambda d, t: ())
+        monkeypatch.setattr(rigidity, "hammock_columns", lambda d, t: {})
         with pytest.raises(RuntimeError, match="no self-extension"):
             rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
 
@@ -236,6 +239,26 @@ class TestOracle:
                 full = se_oracle(at, v, p)
                 assert p in full, (t, x)
                 assert rd_oracle(at, v).witness == full[0], (t, x)
+
+
+@pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
+def test_walk_matches_definition(at):
+    # degree i is a self-extension when some hammock member of v lies in the
+    # orbit of omega^i(v), by literal steps and group membership; horizons
+    # past two periods reach both omega^2 phases and every twisted image
+    d = at.diagram
+    horizon = 2 * at.period + 2
+    for t in d.labels:
+        for x in (0, 3, -7):
+            v = Vertex(x, t)
+            members = hammock_minus(d, v).members
+            literal = []
+            w = v
+            for i in range(1, horizon + 1):
+                w = omega(d, w)
+                if any(group_member(at, h, w) for h in members):
+                    literal.append(i)
+            assert se_oracle(at, v, horizon) == tuple(literal), (t, x)
 
 
 # every family and twist order, fractional type D included, at small u
