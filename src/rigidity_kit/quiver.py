@@ -15,7 +15,9 @@ hammocks by label (``hammock_columns``, the oracle's), their transpose
 only.  Only ``orbit_offsets`` depends on the algebra type, and it keeps the
 last type alone.  Labels are checked where they enter, by
 ``Diagram.check_label`` against a per-diagram set, with no check on every
-step: a label missing from a table raises its ``ValueError``.
+step: a label missing from a table raises its ``ValueError``.  The hammock
+caches key on the label's type as well, so a bool or float equal to a
+label misses the label's entry and meets that check.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -73,14 +75,30 @@ def _label_key(t: Label) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class Vertex:
+    """A vertex (x, t) of ZD: slice coordinate x, Dynkin label t.
+
+    ``__init__`` is written out, storing each field through its slot
+    descriptor: the generated frozen ``__init__`` makes one
+    ``object.__setattr__`` call per field, and every ``omega`` step and
+    every ``rd_closed`` call builds a vertex.
+    """
+
     x: int
     t: Label
+
+    def __init__(self, x: int, t: Label) -> None:
+        _set_vertex_x(self, x)
+        _set_vertex_t(self, t)
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.x, *_label_key(self.t))
 
     def __str__(self) -> str:
         return f"({self.x},{self.t})"
+
+
+_set_vertex_x = Vertex.x.__set__
+_set_vertex_t = Vertex.t.__set__
 
 
 @dataclass(frozen=True)
@@ -505,7 +523,7 @@ def _knit_profile(
     raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hammock_cells(
     diagram: Diagram, t: Label, forward: bool = False
 ) -> tuple[tuple[int, Label], ...]:
@@ -522,7 +540,7 @@ def hammock_cells(
     return tuple((sign * i, c) for i, slice_ in enumerate(profile) for c, _ in slice_)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
 

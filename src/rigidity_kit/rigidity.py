@@ -52,13 +52,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidityReport:
     """Rigidity degree of one vertex plus provenance.
 
     ``branch`` names the closed-form case that fired and is absent on
     oracle reports; ``witness`` is the smallest self-extension degree and is
-    filled by the oracle only.
+    filled by the oracle only.  ``__init__`` is written out, storing each
+    field through its slot descriptor: the generated frozen ``__init__``
+    makes one ``object.__setattr__`` call per field, and every ``rd_closed``
+    call builds a report.
     """
 
     atype: AlgebraType
@@ -67,10 +70,27 @@ class RigidityReport:
     branch: str | None = None
     witness: int | None = None
 
+    def __init__(
+        self, atype: AlgebraType, vertex: Vertex, rd: int,
+        branch: str | None = None, witness: int | None = None,
+    ) -> None:
+        _set_report_atype(self, atype)
+        _set_report_vertex(self, vertex)
+        _set_report_rd(self, rd)
+        _set_report_branch(self, branch)
+        _set_report_witness(self, witness)
+
     @property
     def domdim_bound(self) -> int:
         """Dominant dimension of the generator-cogenerator's endomorphism algebra."""
         return self.rd + 2
+
+
+_set_report_atype = RigidityReport.atype.__set__
+_set_report_vertex = RigidityReport.vertex.__set__
+_set_report_rd = RigidityReport.rd.__set__
+_set_report_branch = RigidityReport.branch.__set__
+_set_report_witness = RigidityReport.witness.__set__
 
 
 def _fib_interval_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
@@ -247,7 +267,7 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
         rd, branch = _rd_closed_d(atype, t)
     else:
         rd, branch = _rd_closed_e(atype, t)
-    return RigidityReport(atype=atype, vertex=Vertex(0, t), rd=rd, branch=branch)
+    return RigidityReport(atype, Vertex(0, t), rd, branch)
 
 
 def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
@@ -312,7 +332,7 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     cap = _step_cap(atype)
     for i, hit in islice(_omega_walk(atype, v), cap):
         if hit:
-            return RigidityReport(atype=atype, vertex=v, rd=i - 1, witness=i)
+            return RigidityReport(atype, v, i - 1, None, i)
     raise RuntimeError(f"omega walk of {v} met no self-extension within {cap} steps")
 
 

@@ -55,9 +55,10 @@ def test_rd_oracle_steps_through_omega(monkeypatch, family, rank, u, s):
 
     The tracer counts oracle steps as ``omega`` calls made inside
     ``rd_oracle``, and ``perfbench/test_smoke.py`` requires them to cover
-    the witnesses; this guard fails first, since the smoke tests are not in
-    ``testpaths``.  ROADMAP item 1 replaces it, together with the tracer,
-    before the congruence oracle of item 2 lands.
+    the witnesses; this guard checks the same on the engine itself, without
+    the tracer, on every label of twisted and fractional types.  ROADMAP
+    item 1 replaces it, together with the tracer, before the congruence
+    oracle of item 2 lands.
     """
     from rigidity_kit import AlgebraType, Vertex, rigidity
 

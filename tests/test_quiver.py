@@ -279,6 +279,8 @@ class TestTables:
             lambda u: is_maximal_orthogonal(at, Vertex(0, u), 2),
             lambda u: hammock_minus(d, Vertex(0, u)),
             lambda u: hammock_plus(d, Vertex(0, u)),
+            lambda u: hammock_cells(d, u),
+            lambda u: hammock_columns(d, u),
         ]
         message = f"label {t!r} is not a vertex of A5"
         for call in calls:

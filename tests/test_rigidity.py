@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ from rigidity_kit import (
     SPINE_MINUS,
     SPINE_PLUS,
     AlgebraType,
+    RigidityReport,
     Vertex,
     agreement,
     endpoint_scan,
@@ -133,6 +138,59 @@ class TestClosedFormTypeE:
         checked, mismatches = agreement(sweep_types("E", 1, rank=8, u_max=15))
         assert mismatches == []
         assert checked == 15 * 8
+
+
+class TestRigidityReport:
+    def test_value_semantics_under_slots(self):
+        at = AlgebraType.create("D", 6, Fraction(4, 3), 1)
+        report = rd_closed(at, SPINE_PLUS)
+        assert not hasattr(report, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.rd = 0
+        assert report == rd_closed(at, SPINE_PLUS)
+        assert hash(report) == hash(rd_closed(at, SPINE_PLUS))
+        assert report != dataclasses.replace(report, rd=report.rd + 1)
+        assert report != dataclasses.replace(report, branch=None)
+        copies = [pickle.loads(pickle.dumps(report, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(report), copy.copy(report), dataclasses.replace(report)]
+        for other in copies:
+            assert type(other) is RigidityReport and other == report
+            assert hash(other) == hash(report)
+            assert other.domdim_bound == report.domdim_bound == report.rd + 2
+        witnessed = dataclasses.replace(report, witness=3)
+        assert (witnessed.rd, witnessed.branch, witnessed.witness) == (report.rd, report.branch, 3)
+
+    def test_engine_reports_equal_keyword_built_reports(self):
+        for at in REFERENCE_TYPES:
+            for t in at.diagram.labels:
+                v = Vertex(0, t)
+                closed = rd_closed(at, t)
+                assert closed == RigidityReport(atype=at, vertex=v, rd=closed.rd,
+                                                branch=closed.branch)
+                oracle = rd_oracle(at, v)
+                assert oracle == RigidityReport(atype=at, vertex=v, rd=oracle.witness - 1,
+                                                witness=oracle.witness)
+
+
+@pytest.mark.parametrize("cls", [Vertex, RigidityReport], ids=lambda cls: cls.__name__)
+def test_hand_written_init_matches_fields(cls):
+    """The written-out ``__init__`` takes the fields in order, with their defaults, and sets each."""
+    fields = dataclasses.fields(cls)
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields
+    ]
+    values = {f.name: object() for f in fields}
+    for built in (cls(*values.values()), cls(**values)):
+        assert all(getattr(built, name) is value for name, value in values.items())
+    required = {f.name: values[f.name] for f in fields if f.default is dataclasses.MISSING}
+    built = cls(**required)
+    for f in fields:
+        expected = values[f.name] if f.name in required else f.default
+        assert getattr(built, f.name) is expected
 
 
 class TestOracle:
