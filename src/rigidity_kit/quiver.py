@@ -5,19 +5,16 @@ twist phi, membership in and reduction modulo the admissible group
 <tau^n phi> (``orbit_residues``, ``orbit_offsets``), and the hammock
 supports of the stable Hom functor computed by mesh knitting.
 
-The integer geometry of each diagram is built once and cached per diagram,
-never per algebra type: the omega and phi step tables (``omega`` and
-``phi`` are lookups in them), the knitting plan over label indices
-(``_knit_plan``), and three readings of the knitted hammocks: the backward
-hammocks by label (``hammock_columns``, the oracle's), their transpose
-``hammock_incidence`` (the certificate's), and the cells as pairs
-(``hammock_cells``), which serve ``hammock_minus`` and ``hammock_plus``
-only.  Only ``orbit_offsets`` depends on the algebra type, and it keeps the
-last type alone.  Labels are checked where they enter, by
-``Diagram.check_label`` against a per-diagram set, with no check on every
-step: a label missing from a table raises its ``ValueError``.  The hammock
-caches key on the label's type as well, so a bool or float equal to a
-label misses the label's entry and meets that check.
+Each diagram's integer geometry is cached per diagram, never per algebra
+type: the omega and phi step tables, the knitting plan (``_knit_plan``)
+and, per direction, every hammock knitted in one pass on byte lanes
+(``_knit_lanes``), read by label for the oracle (``hammock_columns``), by
+cell for the certificate (``hammock_incidence``) and as pairs for
+``hammock_minus``/``hammock_plus`` (``hammock_cells``).  Only
+``orbit_offsets`` depends on the type; it keeps the last type alone.
+Labels are checked where they enter, by ``Diagram.check_label``, not on
+every step; the hammock caches key on the label's type too, so a bool or
+float equal to a label meets that check.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -30,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, takewhile
+from operator import or_
 from typing import Iterator, Union
 
 __all__ = [
@@ -203,22 +202,6 @@ def _structure(family: str, rank: int):
 def _label_set(family: str, rank: int) -> frozenset[Label]:
     """The labels as a set, for ``Diagram.check_label``."""
     return frozenset(_structure(family, rank)[0])
-
-
-@lru_cache(maxsize=None)
-def _reachable(family: str, rank: int, t0: Label, against: bool) -> frozenset[Label]:
-    """Labels with a directed path to t0 (against=True) or from t0."""
-    _, _, ins, outs, _ = _structure(family, rank)
-    step = ins if against else outs
-    seen = {t0}
-    frontier = [t0]
-    while frontier:
-        c = frontier.pop()
-        for b in step[c]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return frozenset(seen)
 
 
 def tau(v: Vertex, steps: int = 1) -> Vertex:
@@ -465,10 +448,8 @@ def _knit_plan(
 ) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """The mesh recurrence of one diagram and direction over label indices.
 
-    One entry (c, ins, outs) per label in the order ``_knit_profile`` fills a
-    slice: sinks first for the backward hammock, sources first for the
-    forward one, whose in- and out-neighbours are swapped.  Indices are
-    positions in ``Diagram.labels``.
+    One entry (c, ins, outs) per label, in the order ``_knit_lanes`` fills a
+    slice: sinks first backward; sources first, ins and outs swapped, forward.
     """
     labels, _, ins, outs, order = _structure(family, rank)
     if forward:
@@ -481,59 +462,81 @@ def _knit_plan(
     )
 
 
-def _knit_profile(
-    family: str, rank: int, t0: Label, forward: bool
-) -> tuple[tuple[tuple[Label, int], ...], ...]:
-    """Multiplicity profile of the hammock at (0, t0), one entry per slice.
+def _knit_lanes(family: str, rank: int, forward: bool) -> tuple[bytes, ...]:
+    """Knit the hammock at (0, t) of every label t in one pass, one byte lane per t.
 
-    Slice 0 contains the base; subsequent slices sit at x-offset +i for the
-    backward hammock and -i for the forward one.  Each slice is a list of
-    multiplicities indexed like ``Diagram.labels``.  The first is the
-    indicator of the labels reachable from t0 inside the base slice; the
-    next is filled in ``_knit_plan`` order with the mesh recurrence
-    ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``, kept only when positive.
-    Dynkin hammocks die out within m_delta + 1 slices; a hard cap traps
-    anything else.
+    Each cell is one int; its byte k is the cell's multiplicity in the hammock
+    based at ``labels[k]``.  Slice 0 contains the bases: lane k is the
+    indicator of the labels with a path to ``labels[k]`` (from it, forward).
+    Slice i sits at x-offset +i backward, -i forward, and is filled in
+    ``_knit_plan`` order by ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``, kept
+    only when positive.  Every lane carries a bias of 64, so "positive" is
+    bit 7 of the lane plus 63.  Dynkin multiplicities are at most 6 and a
+    cell has at most 3 neighbours, so a biased lane stays in 58..82 and never
+    carries into the next.  The first multiplicity of 8 or more is still
+    exact, and the guard at the end raises on it.  A slice cap traps a
+    knitting that does not die out.  Returns, per label index c, cell c of
+    every slice as bytes: byte ``i * n + k`` is lane k of slice i.
     """
-    diagram = Diagram(family, rank)
-    diagram.check_label(t0)
-    labels = diagram.labels
     plan = _knit_plan(family, rank, forward)
-    start = _reachable(family, rank, t0, against=not forward)
-    cur = [1 if c in start else 0 for c in labels]
-    profile = [cur]
-    cap = 4 * diagram.m_delta + 8
-    for _ in range(cap):
-        nxt = [0] * len(labels)
+    n = len(plan)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    bias, round_up = ones << 6, 63 * ones
+    cur = [0] * n
+    for c, _, outs in plan:  # c reaches itself and all that its plan out-neighbours reach
+        cur[c] = reduce(or_, (cur[b] for b in outs), 1 << 8 * c)
+    slices = [cur]
+    for _ in range(4 * Diagram(family, rank).m_delta + 8):
+        nxt = [0] * n
         for c, ins, outs in plan:
-            total = -cur[c]
+            total = bias - cur[c]
             for a in ins:
                 total += cur[a]
             for b in outs:
                 total += nxt[b]
-            if total > 0:
-                nxt[c] = total
+            keep = (total + round_up) >> 7 & ones
+            nxt[c] = (total & keep * 255) - (keep << 6)
         if not any(nxt):
-            return tuple(
-                tuple((c, k) for c, k in zip(labels, slice_) if k > 0)
-                for slice_ in profile
-            )
-        profile.append(nxt)
+            break
+        slices.append(nxt)
         cur = nxt
-    raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
+    else:
+        raise RuntimeError(f"knitting on {family}{rank} did not terminate")
+    if reduce(or_, chain.from_iterable(slices)) & 0xF8 * ones:
+        raise RuntimeError(f"knitting on {family}{rank} overflowed its byte lanes")
+    return tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
+
+
+@lru_cache(maxsize=None)
+def _hammock_lanes(family: str, rank: int, forward: bool) -> tuple[bytes, ...]:
+    """``_knit_lanes`` of one diagram and direction: the one cached knitting."""
+    return _knit_lanes(family, rank, forward)
+
+
+def _lanes_of(diagram: Diagram, t: Label, forward: bool) -> Iterator[tuple[Label, bytes]]:
+    """Pairs (c, multiplicity of c by slice) of the hammock at (0, t); checks t."""
+    diagram.check_label(t)
+    labels = diagram.labels
+    n, k = len(labels), labels.index(t)
+    return zip(labels, (m[k::n] for m in _hammock_lanes(diagram.family, diagram.rank, forward)))
+
+
+def _knit_profile(
+    family: str, rank: int, t0: Label, forward: bool
+) -> tuple[tuple[tuple[Label, int], ...], ...]:
+    """The hammock at (0, t0), one slice per entry: the pairs (c, multiplicity) in it."""
+    labels, lanes = zip(*_lanes_of(Diagram(family, rank), t0, forward))
+    rows = (tuple(compress(zip(labels, row), row)) for row in zip(*lanes))
+    return tuple(takewhile(bool, rows))
 
 
 @lru_cache(maxsize=None, typed=True)
 def hammock_cells(
     diagram: Diagram, t: Label, forward: bool = False
 ) -> tuple[tuple[int, Label], ...]:
-    """Members of the hammock based at (0, t) as pairs (dx, c), cached per diagram.
+    """Members of the hammock at (0, t) as pairs (dx, c), from lane t of ``_knit_lanes``.
 
-    ``_knit_profile`` itself is not cached (only its per-diagram integer plan
-    ``_knit_plan`` is), so ``hammock_minus`` and ``hammock_plus`` knit each
-    hammock once.  The backward hammock (support of stable Hom(-, (0, t)))
-    has dx >= 0, the forward one (forward=True, stable Hom((0, t), -)) has
-    dx <= 0.
+    Backward (stable Hom(-, (0, t))) dx >= 0; forward (stable Hom((0, t), -)) dx <= 0.
     """
     sign = -1 if forward else 1
     profile = _knit_profile(diagram.family, diagram.rank, t, forward)
@@ -544,31 +547,25 @@ def hammock_cells(
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
 
-    Labels the hammock misses have no entry.  Cached per diagram and shared
-    by every caller; never mutate it.  It is read from the knitting directly,
-    so the oracle caches no hammock cells.
+    Read from lane t of ``_knit_lanes``; labels the hammock misses have no
+    entry.  Shared by every caller; never mutate it.
     """
-    columns: dict[Label, list[int]] = {}
-    for dx, slice_ in enumerate(_knit_profile(diagram.family, diagram.rank, t, False)):
-        for c, _ in slice_:
-            columns.setdefault(c, []).append(dx)
-    return {c: tuple(dxs) for c, dxs in columns.items()}
+    lanes = _lanes_of(diagram, t, False)
+    return {c: dxs for c, lane in lanes if (dxs := tuple(compress(count(), lane)))}
 
 
 @lru_cache(maxsize=None)
 def hammock_incidence(diagram: Diagram) -> dict[Label, tuple[tuple[Label, int], ...]]:
     """Transposed backward hammocks: label c -> pairs (t, dx) with (dx, c) in H-(0, t).
 
-    Cached per diagram and shared by every caller; never mutate it.  It is
-    read from the knitting directly, so a certificate caches no hammock cells.
+    Read from cell c of ``_knit_lanes``.  Shared by every caller; never mutate it.
     """
-    incidence: dict[Label, list[tuple[Label, int]]] = {c: [] for c in diagram.labels}
-    for t in diagram.labels:
-        profile = _knit_profile(diagram.family, diagram.rank, t, False)
-        for dx, slice_ in enumerate(profile):
-            for c, _ in slice_:
-                incidence[c].append((t, dx))
-    return {c: tuple(pairs) for c, pairs in incidence.items()}
+    labels = diagram.labels
+    n = len(labels)
+    return {
+        c: tuple((t, dx) for k, t in enumerate(labels) for dx in compress(count(), m[k::n]))
+        for c, m in zip(labels, _hammock_lanes(diagram.family, diagram.rank, False))
+    }
 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:

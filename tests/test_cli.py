@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -283,3 +284,64 @@ class TestHammockCommand:
         )
         assert status == 2
         assert "dot" in err
+
+
+# sha256 of the stdout of ``hammock --delta D --rank R --u 1 --t T --direction DIR
+# --format FMT``, keyed (DR, T, DIR, FMT), and of ``table --delta D --rank 6 --u 1``,
+# recorded from the per-label knitting kernel that the byte-lane one replaced.
+HAMMOCK_STDOUT_SHA256 = {
+    ("A5", "2", "minus", "dot"):
+        "d16e4139f73f3dade1de576e73e6fb1072370869c1c23cce569d0b739abc9265",
+    ("A5", "2", "minus", "json"):
+        "e6638779ba9da4487f091f4a3ed6593c427ede077ec44777fd5c18a659f00db6",
+    ("A5", "2", "minus", "text"):
+        "8e6edef6a6435bce75f8fc0b6b165fa22945ec1854d4c7f1c0cbcebef4862bef",
+    ("A5", "2", "plus", "dot"):
+        "b354e690e7dfa171281d500932060c9871e0322fc8905b21736ba1113b98f2af",
+    ("A5", "2", "plus", "json"):
+        "8f698f1236a1117a938062ae7d76c009827cc9f6acdcba7aeae56bbe6e3aed4f",
+    ("A5", "2", "plus", "text"):
+        "a7f52cd0761d6dedb4a39ec166d5b976e6acd80fe6cb4c741de4aecacfef9971",
+    ("D6", "m+", "minus", "dot"):
+        "a08badf706119f5b67105f3abd18c3ea5a91805ecb444b8c3e7142e3c928f215",
+    ("D6", "m+", "minus", "json"):
+        "cd60811c7c8a7f9786872f6693e0c46f24591fa269cb5dbea461efdd76245a76",
+    ("D6", "m+", "minus", "text"):
+        "d3a451033af1def53be3bd9ece1ba2e6ed20ae8645e1e2345b5d7a23d63693b6",
+    ("D6", "m+", "plus", "dot"):
+        "d038f6243a0498150f0eab907d9647f9d3e66a0fcc70dfe32b4829718735ed8b",
+    ("D6", "m+", "plus", "json"):
+        "a0c26c4ef77b04d3965f4bf772349e78eb29b53da7fa7ca77e7c1b4e4e761045",
+    ("D6", "m+", "plus", "text"):
+        "4d6be04ec04dcd37b80492194097d4e06c5f3275d66c4e395101fd518c522f58",
+    ("E8", "4", "minus", "dot"):
+        "9fa770d97ce1c231815a6cd5e0e184290c2eff3875580bd1b1e0ae6cd37c933f",
+    ("E8", "4", "minus", "json"):
+        "ce5f0abd9c846e283cdf190c60a72b24f04deeb07594c13ec434ab77d39356b4",
+    ("E8", "4", "minus", "text"):
+        "9165f409c286bc80fe4cd00e3605ad00f97d7b4631a538a9194b344c4c2da05e",
+    ("E8", "4", "plus", "dot"):
+        "b04e6c643a071716f235c80053f22db2b51e108eed1f164691f8a8245d7e7fee",
+    ("E8", "4", "plus", "json"):
+        "c2b5d865491e0aca9af918f2ad3d458bbc2934d9b7002664e53882e8d6db620e",
+    ("E8", "4", "plus", "text"):
+        "003595a0760dfa7ccd147b03acb1aaf9e0109167a9771523658265e19b9650c5",
+}
+TABLE_D6_STDOUT_SHA256 = "aacfcd0d9894573d17805841ea21efbb272798d0af296213cd7410b20d38eb57"
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("key", sorted(HAMMOCK_STDOUT_SHA256), ids="-".join)
+    def test_hammock(self, capsys, key):
+        diagram, t, direction, fmt = key
+        status, out, _ = run_cli(
+            capsys, "hammock", "--delta", diagram[0], "--rank", diagram[1:], "--u", "1",
+            "--t", t, "--direction", direction, "--format", fmt,
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == HAMMOCK_STDOUT_SHA256[key]
+
+    def test_table(self, capsys):
+        status, out, _ = run_cli(capsys, "table", "--delta", "D", "--rank", "6", "--u", "1")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_D6_STDOUT_SHA256

@@ -27,6 +27,7 @@ from rigidity_kit import (
     orbit_quiver_dot,
     orbit_reps,
     phi,
+    quiver,
     rd_closed,
     rd_oracle,
     se_oracle,
@@ -34,7 +35,6 @@ from rigidity_kit import (
 )
 from rigidity_kit.quiver import (
     _knit_profile,
-    _reachable,
     _structure,
     hammock_cells,
     hammock_columns,
@@ -494,6 +494,21 @@ class TestHammockIdentities:
         assert len(hammock_plus(d, v)) == len(hammock_minus(d, v))
 
 
+def _reachable(family, rank, t0, against):
+    """Labels with a directed path to t0 (against=True) or from t0: the reference's slice 0."""
+    _, _, ins, outs, _ = _structure(family, rank)
+    step = ins if against else outs
+    seen = {t0}
+    frontier = [t0]
+    while frontier:
+        c = frontier.pop()
+        for b in step[c]:
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return frozenset(seen)
+
+
 def reference_knit_profile(family, rank, t0, forward):
     """The dict-per-slice knitting that ``_knit_profile`` replaced, kept as a reference."""
     labels, _, ins, outs, order = _structure(family, rank)
@@ -521,6 +536,17 @@ def reference_knit_profile(family, rank, t0, forward):
     raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
 
 
+@pytest.fixture
+def cold_hammocks():
+    """Empty every hammock cache before and after the test."""
+    caches = (quiver._hammock_lanes, hammock_cells, hammock_columns, hammock_incidence)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def all_profiles(d):
     for t in d.labels:
         for forward in (False, True):
@@ -545,14 +571,45 @@ class TestKnitKernel:
 
     @pytest.mark.parametrize(
         "family,ranks,top",
-        [("A", range(1, 13), 1), ("D", range(4, 21), 2),
+        [("A", range(1, 61), 1), ("D", range(4, 61), 2),
          ("E", (6,), 3), ("E", (7,), 4), ("E", (8,), 6)],
     )
     def test_largest_multiplicity_is_top_highest_root_coefficient(self, family, ranks, top):
+        # the byte lanes of ``_knit_lanes`` rest on this bound (at most 6 < 8)
         for rank in ranks:
             d = Diagram(family, rank)
             largest = max(k for _, _, p in all_profiles(d) for slice_ in p for _, k in slice_)
             assert largest == top, (family, rank)
+
+    def test_lane_overflow_raises_instead_of_a_wrong_hammock(self, monkeypatch, cold_hammocks):
+        # cell c of the next slice is twice cell c - 1 of this one: 1, 2, 4, 8, 16 on A5
+        def doubling(family, rank, forward):
+            return tuple((c, (c - 1, c - 1, c) if c else (c,), ()) for c in range(rank))
+
+        monkeypatch.setattr(quiver, "_knit_plan", doubling)
+        d = Diagram("A", 5)
+        for read in (lambda: hammock_columns(d, 1), lambda: hammock_incidence(d),
+                     lambda: hammock_plus(d, Vertex(0, 1))):
+            with pytest.raises(RuntimeError, match="knitting on A5 overflowed its byte lanes"):
+                read()
+
+    def test_one_knit_serves_every_reader(self, monkeypatch, cold_hammocks):
+        knits = []
+        knit = quiver._knit_lanes
+
+        def counted(family, rank, forward):
+            knits.append((family, rank, forward))
+            return knit(family, rank, forward)
+
+        monkeypatch.setattr(quiver, "_knit_lanes", counted)
+        d = Diagram("D", 12)
+        for t in d.labels:
+            hammock_columns(d, t)
+        hammock_incidence(d)
+        hammock_minus(d, Vertex(4, SPINE_PLUS))
+        assert knits == [("D", 12, False)]
+        hammock_plus(d, Vertex(0, 3))
+        assert knits == [("D", 12, False), ("D", 12, True)]
 
     @pytest.mark.parametrize(
         "family,rank", [("D", r) for r in range(4, 41)] + [("E", 7), ("E", 8)]
