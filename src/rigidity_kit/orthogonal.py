@@ -6,14 +6,14 @@ shifts of M.  The check runs over one fundamental domain (a full period of
 x-coordinates times all labels); a certificate can list the violating
 vertices so negative answers are debuggable.
 
-The cover is one ``period``-bit integer per label, bit x standing for the
-vertex (x, label) modulo the period.  omega^2 fixes every label, so it is a
-translation by D and omega^(j+2q)(v) = omega^j(v) + (qD, 0) for the two
-phases j = 1, 2.  Each phase turns the cached backward-hammock incidence
-(``hammock_incidence``) and the orbit offsets of the labels into one bit
-pattern per label, and ORs in its rotations by qD through binary doubling,
-so a certificate does O(labels . log r) big-int rotations and no walk of
-r omega steps.
+The cover is one integer of L.period bits, L the number of labels: bit
+y.L + k stands for the vertex (-y, labels[k]) modulo the period.  In the
+reflected y the backward-hammock incidence (``hammock_incidence``) of an
+orbit vertex is placed by one rotation, and rotating every label by k
+slices is one cyclic rotation by k.L bits.  omega^2 fixes every label, so
+omega^(j+2q)(v) = omega^j(v) + (qD, 0) for the two phases j = 1, 2; each
+phase ORs in its pattern's rotations by qD through binary doubling, so a
+certificate does O(log r) rotations of one integer and no omega walk.
 
 The closed-form rigidity dimensions cover the three families where a
 single orbit does certify: the two type-A families, the twisted type-A
@@ -23,15 +23,15 @@ family, and the exceptional E7 family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .quiver import (
     AlgebraType,
+    Label,
     Vertex,
     hammock_incidence,
     omega,
     orbit_offsets,
-    orbit_residues,
     tau,
 )
 from .rigidity import rd_closed
@@ -54,7 +54,7 @@ class OrthogonalityCertificate:
     domain: complement vertices missed by every forward hammock, and orbit
     vertices wrongly hit by one, ordered by x and then by
     ``Diagram.labels``.  It is empty exactly when ``is_maximal``.  It is
-    built from ``gaps`` (per label, the bits x of its violations) when it
+    decoded from ``gaps`` (the violations, laid out as the cover) when it
     is first read, so callers that read only ``is_maximal`` pay nothing
     for it.  ``stability_ok`` records whether the orbit is stable under
     tau.omega^r, a necessary condition for maximality.
@@ -65,43 +65,42 @@ class OrthogonalityCertificate:
     r: int
     is_maximal: bool
     stability_ok: bool
-    gaps: tuple[int, ...] = field(repr=False)
+    gaps: int = field(repr=False)
 
     @cached_property
     def uncovered(self) -> tuple[Vertex, ...]:
         labels = self.atype.diagram.labels
-        width = f"0{self.atype.period}b"
-        # one string per label, reversed so that character x is bit x
-        rows = [format(bits, width)[::-1] for bits in self.gaps]
-        return tuple(
-            Vertex(x, t)
-            for x, column in enumerate(zip(*rows))
-            for t, bit in zip(labels, column)
-            if bit == "1"
-        )
+        width, period = len(labels), self.atype.period
+        # character i of the reversed binary string is bit i
+        bits = format(self.gaps, "b")[::-1]
+        hits = sorted((-(i // width) % period, i % width) for i, b in enumerate(bits) if b == "1")
+        return tuple(Vertex(x, labels[k]) for x, k in hits)
 
 
-def _rotate(bits: int, k: int, period: int, full: int) -> int:
-    """Rotate a period-bit mask so that bit x moves to bit (x + k) mod period."""
-    return ((bits << k) | (bits >> (period - k))) & full
+@lru_cache(maxsize=1)
+def _orbit_covers(atype: AlgebraType) -> dict[Label, tuple[int, int]]:
+    """Per label t, the forward-hammock cover and the cells of the orbit of (0, t).
 
-
-def _rotations(bits: int, step: int, count: int, period: int, full: int) -> int:
-    """OR of the rotations of bits by q.step for q < count, by binary doubling.
-
-    ``bits`` grows into the OR over q < 2^k, whose rotation by 2^k.step
-    doubles it; the set bits of count pick the blocks to lay end to end.
+    Both are laid out as the certificate's cover; the cover ORs each orbit
+    representative's ``hammock_incidence``, folded modulo the period and rotated
+    to it.  Memoised for the last type only, so a certificate hashes it once.
     """
-    out = offset = 0
-    span = step % period
-    while count > 0:
-        if count & 1:
-            out |= _rotate(bits, offset, period, full)
-            offset = (offset + span) % period
-        count >>= 1
-        if count:
-            bits |= _rotate(bits, span, period, full)
-            span = 2 * span % period
+    diagram = atype.diagram
+    period, width = atype.period, len(diagram.labels)
+    size = width * period
+    full = (1 << size) - 1
+    incidence = hammock_incidence(diagram)
+    out = {}
+    for t, reps in orbit_offsets(atype).items():
+        cover = orbit = 0
+        for c, dx in reps:
+            bits = incidence[c]
+            while bits > full:  # slice i lands on i mod period
+                bits = bits & full | bits >> size
+            k = -dx % period * width
+            cover |= (bits << k | bits >> size - k) & full
+            orbit |= 1 << (k + diagram.labels.index(c))
+        out[t] = cover, orbit
     return out
 
 
@@ -110,58 +109,56 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
 
     A vertex z lies in the forward hammock of omega^i(w) for some w in the
     orbit of v precisely when some group translate of omega^i(v) lies in
-    the backward hammock of z; that reformulation reduces the whole check
-    to bit masks modulo the group's translation period.  The omega shifts
-    of v are omega^j(v) translated by qD (phase j = 1, 2; D the x-shift of
-    omega^2, read off two ``omega`` calls), so each phase's per-label
-    pattern is rotated into place and the work grows with log r, not r.
+    the backward hammock of z, so the check is one bit mask modulo the
+    period.  omega^(j+2q)(v) is omega^j(v) translated by qD (D read off two
+    ``omega`` calls), so the work grows with log r, not r.
     """
-    if r < 0:
-        raise ValueError(f"orthogonality degree must be non-negative, got {r}")
-    atype.diagram.check_label(v.t)
+    if type(r) is not int or r < 0:
+        raise ValueError(f"orthogonality degree must be a non-negative int, got {r!r}")
     diagram = atype.diagram
-    period = atype.period
-    full = (1 << period) - 1
+    diagram.check_label(v.t)
+    covers = _orbit_covers(atype)
+    period, width = atype.period, len(diagram.labels)
+    size = width * period
+    full = (1 << size) - 1
 
-    incidence = hammock_incidence(diagram)
-    offsets = orbit_offsets(atype)
     first = omega(diagram, v)
     phases = (first, omega(diagram, first))
     shift = phases[1].x - v.x
-    cover = dict.fromkeys(diagram.labels, 0)
+    cover = 0
     for j, w in enumerate(phases, 1):
         count = (r - j) // 2 + 1  # the degrees j, j + 2, ... up to r
         if count <= 0:
             continue
-        pattern = dict.fromkeys(diagram.labels, 0)
-        for c, ox in offsets[w.t]:
-            for t, dx in incidence[c]:
-                pattern[t] |= 1 << ((ox - dx) % period)
-        for t, bits in pattern.items():
-            swept = _rotations(bits, shift, count, period, full)
-            cover[t] |= _rotate(swept, w.x % period, period, full)
+        # the OR of the rotations by -(w.x + q.shift) slices, q < count: binary
+        # doubling upwards over count - 1 - q (short integers until they wrap),
+        # count's set bits picking the blocks, then one turn puts them in place
+        pattern = covers[w.t][0]
+        turn = -(w.x + (count - 1) * shift) % period * width
+        step = shift % period * width
+        swept = offset = 0
+        while count:
+            if count & 1:
+                swept |= (pattern << offset | pattern >> size - offset) & full
+                offset = (offset + step) % size
+            count >>= 1
+            if count:
+                pattern |= (pattern << step | pattern >> size - step) & full
+                step = 2 * step % size
+        cover |= (swept << turn | swept >> size - turn) & full
 
     # maximal: exactly the vertices off the orbit are covered, so once the
     # orbit is toggled in, every bit should be set
-    residues = orbit_residues(atype, v)
-    for t, x in residues:
-        cover[t] ^= 1 << x
-    gaps = tuple(full ^ bits for bits in cover.values())
+    orbit, k = covers[v.t][1], -v.x % period * width
+    orbit = (orbit << k | orbit >> size - k) & full
+    gaps = full ^ cover ^ orbit
 
-    # omega^r(v) by the same phase formula; omega^0(v) = v
-    if r == 0:
-        last = v
-    else:
-        j = 2 - r % 2
-        last = Vertex(phases[j - 1].x + (r - j) // 2 * shift, phases[j - 1].t)
-    end = tau(last)
+    # tau.omega^r(v), with omega^r(v) for r > 0 by the same phase formula
+    w = phases[1 - r % 2]
+    end = tau(Vertex(w.x + (r - 1) // 2 * shift, w.t) if r else v)
+    stable = orbit >> (-end.x % period * width + diagram.labels.index(end.t)) & 1
     return OrthogonalityCertificate(
-        atype=atype,
-        generator_vertex=v,
-        r=r,
-        is_maximal=not any(gaps),
-        stability_ok=(end.t, end.x % period) in residues,
-        gaps=gaps,
+        atype, v, r, is_maximal=not gaps, stability_ok=bool(stable), gaps=gaps
     )
 
 

@@ -555,17 +555,15 @@ def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def hammock_incidence(diagram: Diagram) -> dict[Label, tuple[tuple[Label, int], ...]]:
-    """Transposed backward hammocks: label c -> pairs (t, dx) with (dx, c) in H-(0, t).
+def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
+    """Transposed backward hammocks: label c -> an int with bit dx.n + k set
+    when (dx, c) is in H-(0, labels[k]), n the number of labels.
 
-    Read from cell c of ``_knit_lanes``.  Shared by every caller; never mutate it.
+    Cell c of ``_knit_lanes``, each byte made one bit in place (nonzero: 1).
+    Shared by every caller; never mutate it.
     """
-    labels = diagram.labels
-    n = len(labels)
-    return {
-        c: tuple((t, dx) for k, t in enumerate(labels) for dx in compress(count(), m[k::n]))
-        for c, m in zip(labels, _hammock_lanes(diagram.family, diagram.rank, False))
-    }
+    lanes = _hammock_lanes(diagram.family, diagram.rank, False)
+    return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:

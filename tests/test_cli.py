@@ -329,6 +329,42 @@ HAMMOCK_STDOUT_SHA256 = {
 }
 TABLE_D6_STDOUT_SHA256 = "aacfcd0d9894573d17805841ea21efbb272798d0af296213cd7410b20d38eb57"
 
+# sha256 of `rigdim` stdout per case and format
+RIGDIM_CASES = {
+    "A1-n4": ("--delta", "A", "--rank", "1", "--n", "4"),  # A s=1, n = 2a
+    "A8-u17_8": ("--delta", "A", "--rank", "8", "--u", "17/8"),  # A s=1, n = am - 1
+    "A3-u3-s2": ("--delta", "A", "--rank", "3", "--u", "3", "--s", "2"),  # A s=2
+    "E7-u14": ("--delta", "E", "--rank", "7", "--u", "14"),  # E7, u = 9a + 5
+    "D6-u2": ("--delta", "D", "--rank", "6", "--u", "2"),  # outside the families
+    "E7-u5-no-verify": ("--delta", "E", "--rank", "7", "--u", "5", "--no-verify"),
+}
+RIGDIM_STDOUT_SHA256 = {
+    ("A1-n4", "text"):
+        "a1de5ab9dfc41159ef88114a08ccdfc36f7912493c75136c7a6b123cf697175b",
+    ("A1-n4", "json"):
+        "123d9c763281898ba60dbccce4ffd19487f2696afa388c56da5e54d1ed817a32",
+    ("A8-u17_8", "text"):
+        "4716093770a12438a70ba7e3581ccf9854f6a23310d0f2654969b9746ddabb96",
+    ("A8-u17_8", "json"):
+        "0a35455e59592d44ebdb9cb17922471151bccf7a5d1f50427a848b7df7445c97",
+    ("A3-u3-s2", "text"):
+        "214661330224b5afffbb24a216506b7a190007444f617ef0b7a1c6cbdf414f75",
+    ("A3-u3-s2", "json"):
+        "5f4f3ac3933733f42cbdafe00e63e8794c11d8d989a74bfc82e6aa40ec1e9343",
+    ("E7-u14", "text"):
+        "0b40d5514a590ba43ccf1c3c27924e61ba2b9fa35d3ccb5b4cd57569a138c591",
+    ("E7-u14", "json"):
+        "39317344ba154370c7027ae4ac2694b999c8182c999454e117909abe5b13af6f",
+    ("D6-u2", "text"):
+        "65ab080970df44981ae2fda6d6ed49755cf101d2f347b0bc2c34c3d8f3e98e3e",
+    ("D6-u2", "json"):
+        "de4e4574eb8e83f0f2326e1e729a7df64f90e5944a6e2d8d6c082bb76d89065b",
+    ("E7-u5-no-verify", "text"):
+        "43430c541c0c76a1b22c2bd23acdded80b59517b4693c4c5f7d46dbfa9e13f76",
+    ("E7-u5-no-verify", "json"):
+        "5f462a60e5fd29e523cdc63b50fcbcb826a4fdfcc3268d9569460ee02c7df7e0",
+}
+
 
 class TestGoldenStdout:
     @pytest.mark.parametrize("key", sorted(HAMMOCK_STDOUT_SHA256), ids="-".join)
@@ -345,3 +381,10 @@ class TestGoldenStdout:
         status, out, _ = run_cli(capsys, "table", "--delta", "D", "--rank", "6", "--u", "1")
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_D6_STDOUT_SHA256
+
+    @pytest.mark.parametrize("key", sorted(RIGDIM_STDOUT_SHA256), ids="-".join)
+    def test_rigdim(self, capsys, key):
+        case, fmt = key
+        status, out, _ = run_cli(capsys, "rigdim", *RIGDIM_CASES[case], "--format", fmt)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RIGDIM_STDOUT_SHA256[key]

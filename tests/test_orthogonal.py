@@ -22,6 +22,8 @@ from rigidity_kit import (
     rigdim_verify,
     tau,
 )
+from rigidity_kit import orthogonal
+from rigidity_kit.quiver import hammock_columns, orbit_offsets, orbit_residues
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
 
@@ -78,6 +80,12 @@ class TestCertificates:
         with pytest.raises(ValueError):
             is_maximal_orthogonal(NAKAYAMA_17_9, Vertex(0, 1), -1)
 
+    @pytest.mark.parametrize("r", [True, 2.0], ids=repr)
+    def test_rejects_a_degree_that_is_not_an_int(self, r):
+        # True == 1 and 2.0 == 2, but a degree is an int, not a value equal to one
+        with pytest.raises(ValueError, match=f"got {r!r}"):
+            is_maximal_orthogonal(NAKAYAMA_17_9, Vertex(0, 1), r)
+
     def test_non_generating_vertex_fails(self):
         cert = is_maximal_orthogonal(NAKAYAMA_17_9, Vertex(0, 2), 3)
         assert not cert.is_maximal
@@ -133,6 +141,9 @@ REFERENCE_TYPES = (
     + [AlgebraType.create("D", 6, Fraction(v, 3), 1) for v in (1, 2, 4, 5, 7, 8)]
     + [AlgebraType.create("E", 6, u, s) for s in (1, 2) for u in (1, 2, 3)]
     + [AlgebraType.create("E", rank, u, 1) for rank in (7, 8) for u in (1, 2, 3)]
+    # periods 1, 2 and 5, below the hammock depth: the incidence folds onto itself
+    + [AlgebraType.from_shift("A", 3, 1), AlgebraType.from_shift("A", 4, 2)]
+    + [AlgebraType.create("D", 9, Fraction(1, 3), 1)]
 )
 
 
@@ -180,6 +191,117 @@ def test_certificate_is_periodic_in_large_degrees(atype):
         assert outcome(is_maximal_orthogonal(atype, v, huge)) == outcome(
             is_maximal_orthogonal(atype, v, reduced)
         ), t
+
+
+def per_label_certificate(atype, v, r):
+    """(is_maximal, uncovered, stability_ok) with one ``period``-bit mask per label.
+
+    The certificate's earlier design, kept as a reference at large periods:
+    per omega^2 phase, a per-label pattern from the transposed backward
+    hammocks (read here from ``hammock_columns``), ORed over its rotations
+    by the omega^2 translation through binary doubling, one label at a time.
+    """
+    d, period = atype.diagram, atype.period
+    full = (1 << period) - 1
+
+    def rotate(bits, k):
+        return ((bits << k) | (bits >> (period - k))) & full
+
+    def rotations(bits, step, count):
+        out = offset = 0
+        span = step % period
+        while count > 0:
+            if count & 1:
+                out |= rotate(bits, offset)
+                offset = (offset + span) % period
+            count >>= 1
+            if count:
+                bits |= rotate(bits, span)
+                span = 2 * span % period
+        return out
+
+    incidence = {c: [] for c in d.labels}
+    for t in d.labels:
+        for c, dxs in hammock_columns(d, t).items():
+            incidence[c] += [(t, dx) for dx in dxs]
+    offsets = orbit_offsets(atype)
+    first = omega(d, v)
+    phases = (first, omega(d, first))
+    shift = phases[1].x - v.x
+    cover = dict.fromkeys(d.labels, 0)
+    for j, w in enumerate(phases, 1):
+        count = (r - j) // 2 + 1
+        if count <= 0:
+            continue
+        pattern = dict.fromkeys(d.labels, 0)
+        for c, ox in offsets[w.t]:
+            for t, dx in incidence[c]:
+                pattern[t] |= 1 << ((ox - dx) % period)
+        for t, bits in pattern.items():
+            cover[t] |= rotate(rotations(bits, shift, count), w.x % period)
+    residues = orbit_residues(atype, v)
+    for t, x in residues:
+        cover[t] ^= 1 << x
+    rows = [format(full ^ bits, f"0{period}b")[::-1] for bits in cover.values()]
+    uncovered = tuple(
+        Vertex(x, t)
+        for x, column in enumerate(zip(*rows))
+        for t, bit in zip(d.labels, column)
+        if bit == "1"
+    )
+    if r == 0:
+        last = v
+    else:
+        j = 2 - r % 2
+        last = Vertex(phases[j - 1].x + (r - j) // 2 * shift, phases[j - 1].t)
+    end = tau(last)
+    return uncovered == (), uncovered, (end.t, end.x % period) in residues
+
+
+DIFFERENTIAL_TYPES = (
+    # the E7 family u = 9a + 5, a <= 13: periods up to 2,074
+    [AlgebraType.create("E", 7, 9 * a + 5, 1) for a in range(14)]
+    # the twisted type-A family grid
+    + [
+        at
+        for rank in range(3, 14, 2)
+        for u in range(1, 21)
+        if rigdim_closed(at := AlgebraType.create("A", rank, u, 2)) is not None
+    ]
+    # the type-D sweep
+    + [
+        AlgebraType.create("D", rank, u, s)
+        for s in (1, 2)
+        for rank in range(4, 13)
+        for u in range(1, 7)
+    ]
+)
+
+
+@pytest.mark.parametrize("atype", DIFFERENTIAL_TYPES, ids=lambda at: at.describe())
+def test_certificate_matches_per_label_reference(atype):
+    # the one-integer cover against one mask per label, around rd at every label
+    for t in atype.diagram.labels:
+        rd = rd_closed(atype, t).rd
+        for x in (0, 5):
+            v = Vertex(x, t)
+            for r in (rd - 1, rd, rd + 1):
+                got = outcome(is_maximal_orthogonal(atype, v, r))
+                assert got == per_label_certificate(atype, v, r), (t, x, r)
+
+
+def test_per_type_memo_is_invisible():
+    # one diagram, two periods: the memo keeps one type, so alternating the
+    # types label by label evicts it on every call; cold calls clear it first
+    types = (NAKAYAMA_17_9, AlgebraType.create("A", 8, 3, 1))
+    warm = {}
+    for t in NAKAYAMA_17_9.diagram.labels:
+        for atype in types:
+            warm[atype, t] = outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30))
+    for (atype, t), got in warm.items():
+        orthogonal._orbit_covers.cache_clear()
+        assert outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30)) == got, (atype, t)
+        assert got == per_label_certificate(atype, Vertex(2, t), 30), (atype, t)
 
 
 class TestHalfLineFamily:

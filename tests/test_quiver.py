@@ -309,7 +309,14 @@ class TestTables:
     @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
     def test_incidence_transposes_backward_hammocks(self, family, rank):
         d = Diagram(family, rank)
-        transposed = {(t, dx, c) for c, pairs in hammock_incidence(d).items() for t, dx in pairs}
+        n = len(d.labels)
+        # bit dx * n + k of cell c: (dx, c) is in the backward hammock of (0, labels[k])
+        transposed = {
+            (d.labels[i % n], i // n, c)
+            for c, bits in hammock_incidence(d).items()
+            for i in range(bits.bit_length())
+            if bits >> i & 1
+        }
         direct = {(t, h.x, h.t) for t in d.labels for h in hammock_minus(d, Vertex(0, t))}
         assert transposed == direct
         for t in d.labels:
