@@ -36,6 +36,8 @@ from .quiver import (
 )
 from .rigidity import RigidityReport, agreement, rd_closed, rd_oracle, sweep_types
 
+__all__ = ["build_parser", "main", "parse_label", "parse_u"]
+
 # a natural number or a fraction with a nonzero denominator
 _U_PATTERN = re.compile(r"^\d+(/0*[1-9]\d*)?$")
 

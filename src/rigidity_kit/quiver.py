@@ -6,11 +6,11 @@ twist phi, membership in and reduction modulo the admissible group
 supports of the stable Hom functor computed by mesh knitting.
 
 Each diagram's integer geometry is cached per diagram, never per algebra
-type: the omega and phi step tables, the knitting plan (``_knit_plan``)
-and, per direction, every hammock knitted in one pass on byte lanes
-(``_knit_lanes``), read by label for the oracle (``hammock_columns``), by
-cell for the certificate (``hammock_incidence``) and as pairs for
-``hammock_minus``/``hammock_plus`` (``hammock_cells``).  Only
+type: the omega and phi step tables, and every backward hammock knitted
+in one pass on byte lanes (``_knit_lanes``).  The lanes are read by label
+for the oracle and ``hammock_minus`` (``hammock_columns``), by cell for the
+certificate (``hammock_incidence``) and by cell as forward hammocks for
+``hammock_plus``, since z lies in H+(v) exactly when v lies in H-(z).  Only
 ``orbit_offsets`` depends on the type; it keeps the last type alone.
 Labels are checked where they enter, by ``Diagram.check_label``, not on
 every step; the hammock caches key on the label's type too, so a bool or
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, compress, count, takewhile
+from itertools import chain, compress, count
 from operator import or_
 from typing import Iterator, Union
 
@@ -41,7 +41,6 @@ __all__ = [
     "Vertex",
     "group_generator",
     "group_member",
-    "hammock_cells",
     "hammock_columns",
     "hammock_dot",
     "hammock_incidence",
@@ -110,6 +109,8 @@ class Diagram:
     def __post_init__(self) -> None:
         if self.family not in ("A", "D", "E"):
             raise ValueError(f"unknown diagram family {self.family!r}")
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.family == "A" and self.rank < 1:
             raise ValueError(f"type A needs rank >= 1, got {self.rank}")
         if self.family == "D" and self.rank < 4:
@@ -273,10 +274,12 @@ class AlgebraType:
 
     def __post_init__(self) -> None:
         fam, rank = self.diagram.family, self.diagram.rank
-        if self.s not in (1, 2, 3):
-            raise ValueError(f"twist order must be 1, 2 or 3, got {self.s}")
+        if type(self.s) is not int or self.s not in (1, 2, 3):
+            raise ValueError(f"twist order must be 1, 2 or 3, got {self.s!r}")
         if self.u <= 0:
             raise ValueError(f"u must be positive, got {self.u}")
+        if type(self.n) is not int:
+            raise ValueError(f"tau-exponent must be an integer, got {self.n!r}")
         if self.n != self.u * self.diagram.m_delta or self.n < 1:
             raise ValueError(
                 f"tau-exponent {self.n} does not match u={self.u} for {fam}{rank}"
@@ -329,7 +332,7 @@ class AlgebraType:
     def from_shift(cls, family: str, rank: int, n: int, s: int = 1) -> "AlgebraType":
         """Expert constructor from the raw tau-exponent of the group generator."""
         diagram = Diagram(family, rank)
-        return cls(diagram=diagram, s=s, u=Fraction(n, diagram.m_delta), n=n)
+        return cls(diagram=diagram, s=s, u=Fraction(n) / diagram.m_delta, n=n)
 
     @property
     def m_delta(self) -> int:
@@ -394,6 +397,7 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
 
     w lies in the orbit of v exactly when (w.t, w.x mod period) is one of them.
     """
+    atype.diagram.check_label(v.t)
     period = atype.period
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
@@ -415,6 +419,8 @@ def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ..
 
 def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
     """Whether w lies in the orbit of v under the admissible group."""
+    for t in (v.t, w.t):
+        atype.diagram.check_label(t)
     period = atype.period
     for rep in orbit_reps(atype, v):
         if rep.t == w.t and (w.x - rep.x) % period == 0:
@@ -442,19 +448,9 @@ class Hammock:
         return sorted(self.members, key=Vertex.sort_key)
 
 
-@lru_cache(maxsize=None)
-def _knit_plan(
-    family: str, rank: int, forward: bool
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The mesh recurrence of one diagram and direction over label indices.
-
-    One entry (c, ins, outs) per label, in the order ``_knit_lanes`` fills a
-    slice: sinks first backward; sources first, ins and outs swapped, forward.
-    """
+def _knit_plan(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The mesh recurrence on label indices: one (c, ins, outs) per label, sinks first."""
     labels, _, ins, outs, order = _structure(family, rank)
-    if forward:
-        ins, outs = outs, ins
-        order = tuple(reversed(order))
     index = {c: i for i, c in enumerate(labels)}
     return tuple(
         (index[c], tuple(index[a] for a in ins[c]), tuple(index[b] for b in outs[c]))
@@ -462,23 +458,23 @@ def _knit_plan(
     )
 
 
-def _knit_lanes(family: str, rank: int, forward: bool) -> tuple[bytes, ...]:
-    """Knit the hammock at (0, t) of every label t in one pass, one byte lane per t.
+def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
+    """Knit the backward hammock at (0, t) of every label t in one pass, one byte lane per t.
 
     Each cell is one int; its byte k is the cell's multiplicity in the hammock
-    based at ``labels[k]``.  Slice 0 contains the bases: lane k is the
-    indicator of the labels with a path to ``labels[k]`` (from it, forward).
-    Slice i sits at x-offset +i backward, -i forward, and is filled in
-    ``_knit_plan`` order by ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``, kept
-    only when positive.  Every lane carries a bias of 64, so "positive" is
-    bit 7 of the lane plus 63.  Dynkin multiplicities are at most 6 and a
-    cell has at most 3 neighbours, so a biased lane stays in 58..82 and never
-    carries into the next.  The first multiplicity of 8 or more is still
-    exact, and the guard at the end raises on it.  A slice cap traps a
-    knitting that does not die out.  Returns, per label index c, cell c of
-    every slice as bytes: byte ``i * n + k`` is lane k of slice i.
+    based at ``labels[k]``.  Slice 0 holds the bases: lane k is the indicator
+    of the labels with a path to ``labels[k]``.  Slice i, at x-offset +i, is
+    filled in ``_knit_plan`` order by ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``,
+    kept only when positive.  Every lane carries a bias of 64, so "positive"
+    is bit 7 of the lane plus 63.  Multiplicities are at most 6 and a cell has
+    at most 3 neighbours, so a biased lane stays in 58..82 and never carries;
+    the first multiplicity of 8 or more is still exact, and the final guard
+    raises on it.  A slice cap traps a knitting that does not die out.  Returns,
+    per label index c, cell c of every slice as bytes: byte ``i * n + k`` is
+    lane k of slice i.  As Hom((i, c), (0, labels[k])) = Hom((0, c), (-i, labels[k])),
+    these bytes are also the forward hammock of (0, labels[c]); nothing knits forward.
     """
-    plan = _knit_plan(family, rank, forward)
+    plan = _knit_plan(family, rank)
     n = len(plan)
     ones = int.from_bytes(b"\x01" * n, "little")
     bias, round_up = ones << 6, 63 * ones
@@ -508,39 +504,9 @@ def _knit_lanes(family: str, rank: int, forward: bool) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
-def _hammock_lanes(family: str, rank: int, forward: bool) -> tuple[bytes, ...]:
-    """``_knit_lanes`` of one diagram and direction: the one cached knitting."""
-    return _knit_lanes(family, rank, forward)
-
-
-def _lanes_of(diagram: Diagram, t: Label, forward: bool) -> Iterator[tuple[Label, bytes]]:
-    """Pairs (c, multiplicity of c by slice) of the hammock at (0, t); checks t."""
-    diagram.check_label(t)
-    labels = diagram.labels
-    n, k = len(labels), labels.index(t)
-    return zip(labels, (m[k::n] for m in _hammock_lanes(diagram.family, diagram.rank, forward)))
-
-
-def _knit_profile(
-    family: str, rank: int, t0: Label, forward: bool
-) -> tuple[tuple[tuple[Label, int], ...], ...]:
-    """The hammock at (0, t0), one slice per entry: the pairs (c, multiplicity) in it."""
-    labels, lanes = zip(*_lanes_of(Diagram(family, rank), t0, forward))
-    rows = (tuple(compress(zip(labels, row), row)) for row in zip(*lanes))
-    return tuple(takewhile(bool, rows))
-
-
-@lru_cache(maxsize=None, typed=True)
-def hammock_cells(
-    diagram: Diagram, t: Label, forward: bool = False
-) -> tuple[tuple[int, Label], ...]:
-    """Members of the hammock at (0, t) as pairs (dx, c), from lane t of ``_knit_lanes``.
-
-    Backward (stable Hom(-, (0, t))) dx >= 0; forward (stable Hom((0, t), -)) dx <= 0.
-    """
-    sign = -1 if forward else 1
-    profile = _knit_profile(diagram.family, diagram.rank, t, forward)
-    return tuple((sign * i, c) for i, slice_ in enumerate(profile) for c, _ in slice_)
+def _hammock_lanes(family: str, rank: int) -> tuple[bytes, ...]:
+    """``_knit_lanes`` of one diagram: the one cached knitting."""
+    return _knit_lanes(family, rank)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -550,8 +516,11 @@ def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     Read from lane t of ``_knit_lanes``; labels the hammock misses have no
     entry.  Shared by every caller; never mutate it.
     """
-    lanes = _lanes_of(diagram, t, False)
-    return {c: dxs for c, lane in lanes if (dxs := tuple(compress(count(), lane)))}
+    diagram.check_label(t)
+    labels = diagram.labels
+    n, k = len(labels), labels.index(t)
+    lanes = _hammock_lanes(diagram.family, diagram.rank)
+    return {c: dxs for c, m in zip(labels, lanes) if (dxs := tuple(compress(count(), m[k::n])))}
 
 
 @lru_cache(maxsize=None)
@@ -562,23 +531,25 @@ def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
     Cell c of ``_knit_lanes``, each byte made one bit in place (nonzero: 1).
     Shared by every caller; never mutate it.
     """
-    lanes = _hammock_lanes(diagram.family, diagram.rank, False)
+    lanes = _hammock_lanes(diagram.family, diagram.rank)
     return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:
-    """Support of stable Hom(-, v), knitted backwards against the arrows."""
+    """Support of stable Hom(-, v), from ``hammock_columns`` of its label."""
     diagram.check_label(v.t)
-    members = frozenset(Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t))
+    columns = hammock_columns(diagram, v.t)
+    members = frozenset(Vertex(v.x + dx, c) for c, dxs in columns.items() for dx in dxs)
     return Hammock(base=v, members=members)
 
 
 def hammock_plus(diagram: Diagram, v: Vertex) -> Hammock:
-    """Support of stable Hom(v, -), knitted forwards along the arrows."""
+    """Support of stable Hom(v, -): cell v.t of ``_knit_lanes``, read as its forward hammock."""
     diagram.check_label(v.t)
-    members = frozenset(
-        Vertex(v.x + dx, c) for dx, c in hammock_cells(diagram, v.t, forward=True)
-    )
+    labels = diagram.labels
+    n = len(labels)
+    row = _hammock_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
+    members = frozenset(Vertex(v.x - j // n, labels[j % n]) for j in compress(count(), row))
     return Hammock(base=v, members=members)
 
 

@@ -312,6 +312,7 @@ def _step_cap(atype: AlgebraType) -> int:
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
     """Smallest p >= 1 with omega^p(v) in the orbit of v."""
     diagram = atype.diagram
+    diagram.check_label(v.t)
     cap = _step_cap(atype)
     w = v
     for p in range(1, cap + 1):

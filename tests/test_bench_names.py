@@ -4,6 +4,8 @@
 them at their import sites by identity.  A renamed function, or an import
 site bound to a different object, would make the benchmark fail or count
 nothing, so the names are checked here with the package's own tests.
+Every ``__all__`` entry of the package and its modules must resolve too,
+so no export outlives the function it names.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ LOOKUPS = (
 @pytest.mark.parametrize("module,name", LOOKUPS, ids=[f"{m}.{n}" for m, n in LOOKUPS])
 def test_traced_name_exists(module, name):
     assert callable(getattr(importlib.import_module(f"rigidity_kit.{module}"), name))
+
+
+@pytest.mark.parametrize(
+    "module", ["rigidity_kit"] + [
+        f"rigidity_kit.{name}" for name in ("cli", "euclid", "orthogonal", "quiver", "rigidity")
+    ],
+)
+def test_every_export_resolves(module):
+    package = importlib.import_module(module)
+    assert package.__all__ and len(set(package.__all__)) == len(package.__all__)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_rigidity_imports_the_memoised_weight_sequence():

@@ -327,6 +327,41 @@ HAMMOCK_STDOUT_SHA256 = {
     ("E8", "4", "plus", "text"):
         "003595a0760dfa7ccd147b03acb1aaf9e0109167a9771523658265e19b9650c5",
 }
+# sha256 of the same `hammock` stdout with `--x -3`, and of `hammock --orbit --format dot`
+# on twisted types (u = 1, s = 2, x = -3), recorded while `hammock_plus` still knitted
+# forward on its own lanes rather than reading the backward ones
+HAMMOCK_X3_STDOUT_SHA256 = {
+    ("D7", "m-", "minus", "dot"):
+        "4ce1440b52b400d3d84d9d31bb69033c6e945f157350b81176e8c60a10194662",
+    ("D7", "m-", "minus", "json"):
+        "3d7f94e17e8cbf097e0c0f84203b626d6fbdcf5f5c8011bd8177481e0f0084e4",
+    ("D7", "m-", "minus", "text"):
+        "8627b0e7cac71b3cd9592e21a67d2c145787ea4b126f6215dbe8a644c40ec473",
+    ("D7", "m-", "plus", "dot"):
+        "d2962b76de6078456e0cc2a1b26eee01f285d349e0ecb3ee2fa20ed8f63d46cb",
+    ("D7", "m-", "plus", "json"):
+        "a82b989f126a883d91f499a48b47c2d79cbb715abac35058f4d298f7ad165886",
+    ("D7", "m-", "plus", "text"):
+        "b796377ed8efe889a02953ca83f4e64afba2f5115b602422d169b819c5c90fa6",
+    ("E7", "7", "minus", "dot"):
+        "e0e89cbb9dc31f096d86692236b86779e800a004957a46e19259efa5fdbbb843",
+    ("E7", "7", "minus", "json"):
+        "169b7d1463f92dd7541bd7d553ffc80a75bd450a9f8bfeb62f5c87b86dfcb988",
+    ("E7", "7", "minus", "text"):
+        "8cce627574d82e41002cdbf120f838b5c0c42c051a821606ceba8455c5efab57",
+    ("E7", "7", "plus", "dot"):
+        "a352cef44894433b8101ef165f84ddb6b586d5f972acef2f709ce847e0d1585d",
+    ("E7", "7", "plus", "json"):
+        "54d5bfe215dfc6a9c86face251fde92dc0e36c7b99a42551ddc6853e1940a022",
+    ("E7", "7", "plus", "text"):
+        "d37b2b0c9cbf4be2fce3a33cae9bb3912a75464f8055970b91bd912e7ab9189a",
+}
+ORBIT_S2_STDOUT_SHA256 = {
+    ("A5", "2"):
+        "97e5a912fbf2e0914d81425af99f41d2d71177c5ef49e8cf2114a134fba73d49",
+    ("E6", "1"):
+        "1465d43a33c196baedc55d75209cb713f6136523dc16308f8fbc6a9cc93d42d7",
+}
 TABLE_D6_STDOUT_SHA256 = "aacfcd0d9894573d17805841ea21efbb272798d0af296213cd7410b20d38eb57"
 
 # sha256 of `rigdim` stdout per case and format
@@ -376,6 +411,26 @@ class TestGoldenStdout:
         )
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == HAMMOCK_STDOUT_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(HAMMOCK_X3_STDOUT_SHA256), ids="-".join)
+    def test_hammock_off_slice_zero(self, capsys, key):
+        diagram, t, direction, fmt = key
+        status, out, _ = run_cli(
+            capsys, "hammock", "--delta", diagram[0], "--rank", diagram[1:], "--u", "1",
+            "--t", t, "--x", "-3", "--direction", direction, "--format", fmt,
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == HAMMOCK_X3_STDOUT_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(ORBIT_S2_STDOUT_SHA256), ids="-".join)
+    def test_orbit_quiver(self, capsys, key):
+        diagram, t = key
+        status, out, _ = run_cli(
+            capsys, "hammock", "--delta", diagram[0], "--rank", diagram[1:], "--u", "1",
+            "--s", "2", "--t", t, "--x", "-3", "--orbit", "--format", "dot",
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_S2_STDOUT_SHA256[key]
 
     def test_table(self, capsys):
         status, out, _ = run_cli(capsys, "table", "--delta", "D", "--rank", "6", "--u", "1")

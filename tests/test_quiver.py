@@ -7,6 +7,7 @@ import dataclasses
 import pickle
 from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -24,6 +25,7 @@ from rigidity_kit import (
     is_maximal_orthogonal,
     omega,
     omega_inverse,
+    omega_period,
     orbit_quiver_dot,
     orbit_reps,
     phi,
@@ -34,9 +36,7 @@ from rigidity_kit import (
     tau,
 )
 from rigidity_kit.quiver import (
-    _knit_profile,
     _structure,
-    hammock_cells,
     hammock_columns,
     hammock_incidence,
     orbit_residues,
@@ -279,8 +279,12 @@ class TestTables:
             lambda u: is_maximal_orthogonal(at, Vertex(0, u), 2),
             lambda u: hammock_minus(d, Vertex(0, u)),
             lambda u: hammock_plus(d, Vertex(0, u)),
-            lambda u: hammock_cells(d, u),
             lambda u: hammock_columns(d, u),
+            lambda u: orbit_residues(at, Vertex(0, u)),
+            lambda u: group_member(at, Vertex(0, u), Vertex(0, 1)),
+            lambda u: group_member(at, Vertex(0, 1), Vertex(0, u)),
+            lambda u: omega_period(at, Vertex(0, u)),
+            lambda u: orbit_quiver_dot(at, highlight=Vertex(0, u)),
         ]
         message = f"label {t!r} is not a vertex of A5"
         for call in calls:
@@ -319,9 +323,11 @@ class TestTables:
         }
         direct = {(t, h.x, h.t) for t in d.labels for h in hammock_minus(d, Vertex(0, t))}
         assert transposed == direct
+        # z is in the forward hammock of v exactly when v is in the backward hammock of z
         for t in d.labels:
-            forward = {Vertex(dx, c) for dx, c in hammock_cells(d, t, forward=True)}
-            assert forward == hammock_plus(d, Vertex(0, t)).members
+            dual = {Vertex(-h.x, c) for c in d.labels
+                    for h in hammock_minus(d, Vertex(0, c)) if h.t == t}
+            assert dual == hammock_plus(d, Vertex(0, t)).members
 
 
 class TestAlgebraTypeValidation:
@@ -360,6 +366,25 @@ class TestAlgebraTypeValidation:
             Diagram("E", 9)
         with pytest.raises(ValueError):
             Diagram("B", 2)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: AlgebraType.create("A", True, 1), "rank must be an integer, got True"),
+            (lambda: Diagram("E", 6.0), "rank must be an integer, got 6.0"),
+            (lambda: AlgebraType.create("A", 3, 1, 2.0), "twist order must be 1, 2 or 3, got 2.0"),
+            (lambda: AlgebraType.create("D", 4, 1, True), "twist order must be 1, 2 or 3, got True"),
+            (lambda: AlgebraType.from_shift("A", 3, True), "tau-exponent must be an integer, got True"),
+            (lambda: AlgebraType.from_shift("A", 3, 3.0), "tau-exponent must be an integer, got 3.0"),
+            (lambda: AlgebraType(Diagram("A", 3), 1, Fraction(1, 3), True),
+             "tau-exponent must be an integer, got True"),
+        ],
+        ids=["bool-rank", "float-rank", "float-s", "bool-s", "bool-n", "float-n", "bool-n-direct"],
+    )
+    def test_bool_or_non_int_parameter_raises(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def a_rectangle(m: int, x: int, t: int) -> frozenset[Vertex]:
@@ -546,7 +571,7 @@ def reference_knit_profile(family, rank, t0, forward):
 @pytest.fixture
 def cold_hammocks():
     """Empty every hammock cache before and after the test."""
-    caches = (quiver._hammock_lanes, hammock_cells, hammock_columns, hammock_incidence)
+    caches = (quiver._hammock_lanes, hammock_columns, hammock_incidence)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -554,10 +579,27 @@ def cold_hammocks():
         cache.cache_clear()
 
 
+def lane_profile(d, t, forward):
+    """The hammock at (0, t) as ``reference_knit_profile`` gives it, read off ``_hammock_lanes``.
+
+    Backward it is lane t of every cell; forward it is the row of cell t, since
+    z lies in the forward hammock of v exactly when v lies in the backward one of z.
+    """
+    labels = d.labels
+    n, k = len(labels), labels.index(t)
+    lanes = quiver._hammock_lanes(d.family, d.rank)
+    if forward:
+        slices = (lanes[k][i:i + n] for i in range(0, len(lanes[k]), n))
+    else:
+        slices = zip(*(m[k::n] for m in lanes))
+    rows = (tuple((c, m) for c, m in zip(labels, row) if m) for row in slices)
+    return tuple(takewhile(bool, rows))
+
+
 def all_profiles(d):
     for t in d.labels:
         for forward in (False, True):
-            yield t, forward, _knit_profile(d.family, d.rank, t, forward)
+            yield t, forward, lane_profile(d, t, forward)
 
 
 class TestKnitKernel:
@@ -574,7 +616,7 @@ class TestKnitKernel:
     def test_type_a_backward_hammock_sizes(self, rank):
         d = Diagram("A", rank)
         for t in d.labels:
-            assert len(hammock_cells(d, t)) == t * (rank + 1 - t), t
+            assert len(hammock_minus(d, Vertex(0, t))) == t * (rank + 1 - t), t
 
     @pytest.mark.parametrize(
         "family,ranks,top",
@@ -590,7 +632,7 @@ class TestKnitKernel:
 
     def test_lane_overflow_raises_instead_of_a_wrong_hammock(self, monkeypatch, cold_hammocks):
         # cell c of the next slice is twice cell c - 1 of this one: 1, 2, 4, 8, 16 on A5
-        def doubling(family, rank, forward):
+        def doubling(family, rank):
             return tuple((c, (c - 1, c - 1, c) if c else (c,), ()) for c in range(rank))
 
         monkeypatch.setattr(quiver, "_knit_plan", doubling)
@@ -604,9 +646,9 @@ class TestKnitKernel:
         knits = []
         knit = quiver._knit_lanes
 
-        def counted(family, rank, forward):
-            knits.append((family, rank, forward))
-            return knit(family, rank, forward)
+        def counted(family, rank):
+            knits.append((family, rank))
+            return knit(family, rank)
 
         monkeypatch.setattr(quiver, "_knit_lanes", counted)
         d = Diagram("D", 12)
@@ -614,9 +656,8 @@ class TestKnitKernel:
             hammock_columns(d, t)
         hammock_incidence(d)
         hammock_minus(d, Vertex(4, SPINE_PLUS))
-        assert knits == [("D", 12, False)]
         hammock_plus(d, Vertex(0, 3))
-        assert knits == [("D", 12, False), ("D", 12, True)]
+        assert knits == [("D", 12)]
 
     @pytest.mark.parametrize(
         "family,rank", [("D", r) for r in range(4, 41)] + [("E", 7), ("E", 8)]
@@ -635,7 +676,8 @@ class TestKnitKernel:
             for t in d.labels:
                 columns = hammock_columns(d, t)
                 cells = {(dx, c) for c, dxs in columns.items() for dx in dxs}
-                assert cells == set(hammock_cells(d, t)), (rank, t)
+                profile = lane_profile(d, t, False)
+                assert cells == {(i, c) for i, p in enumerate(profile) for c, _ in p}, (rank, t)
                 for dxs in columns.values():
                     assert dxs and list(dxs) == sorted(set(dxs)), (rank, t)
 
@@ -781,7 +823,7 @@ def test_d5_hammocks_match_exact_linear_algebra():
 
     def knitted_profile(t):
         stats = Counter()
-        for slice_ in _knit_profile("D", 5, t, False):
+        for slice_ in lane_profile(Diagram("D", 5), t, False):
             for label, count in slice_:
                 key = "spine" if label in (SPINE_PLUS, SPINE_MINUS) else str(label)
                 stats[(key, "count")] += 1
