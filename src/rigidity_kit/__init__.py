@@ -28,7 +28,6 @@ from .quiver import (
     SPINE_PLUS,
     AlgebraType,
     Diagram,
-    Hammock,
     Vertex,
     group_generator,
     group_member,
@@ -59,7 +58,6 @@ __all__ = [
     "AlgebraType",
     "Diagram",
     "EuclidData",
-    "Hammock",
     "OrthogonalityCertificate",
     "RemainderRangeReport",
     "RigdimFormula",

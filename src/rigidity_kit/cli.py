@@ -63,10 +63,6 @@ def parse_label(text: str):
         raise ValueError(f"label must be an integer, 'm+'/'p' or 'm-'/'m', got {text!r}")
 
 
-def label_str(t) -> str:
-    return t if isinstance(t, str) else str(t)
-
-
 def make_type(args: argparse.Namespace) -> AlgebraType:
     if getattr(args, "n", None) is not None:
         if getattr(args, "u", None) is not None:
@@ -90,7 +86,7 @@ def type_json(atype: AlgebraType) -> dict:
 def report_json(report: RigidityReport) -> dict:
     return {
         "type": type_json(report.atype),
-        "vertex": {"x": report.vertex.x, "t": label_str(report.vertex.t)},
+        "vertex": {"x": report.vertex.x, "t": str(report.vertex.t)},
         "rd": report.rd,
         "branch": report.branch,
         "witness": report.witness,
@@ -193,7 +189,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
         report = replace(report, witness=oracle.witness)
         if oracle.rd != report.rd:
             sys.stderr.write(
-                f"disagreement at {atype.describe()} t={label_str(t)}: "
+                f"disagreement at {atype.describe()} t={t}: "
                 f"closed={report.rd} oracle={oracle.rd}\n"
             )
             status = 1
@@ -205,7 +201,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
         witness = f" witness={report.witness}" if report.witness is not None else ""
         _emit(
             args,
-            f"type {atype.describe()} t={label_str(t)}: rd={report.rd} "
+            f"type {atype.describe()} t={t}: rd={report.rd} "
             f"branch={report.branch}{witness} domdim_bound={report.domdim_bound}\n",
         )
     return status
@@ -228,7 +224,7 @@ def _reports_csv(reports: list[RigidityReport]) -> str:
                 at.s,
                 at.n,
                 rep.vertex.x,
-                label_str(rep.vertex.t),
+                str(rep.vertex.t),
                 rep.rd,
                 rep.branch or "",
                 "" if rep.witness is None else rep.witness,
@@ -254,7 +250,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         lines = [f"type {atype.describe()}  (t, rd, branch, witness)"]
         for rep in reports:
             lines.append(
-                f"  t={label_str(rep.vertex.t):>3}  rd={str(rep.rd):<6} "
+                f"  t={rep.vertex.t:>3}  rd={str(rep.rd):<6} "
                 f"branch={rep.branch}  witness={rep.witness}"
             )
         _emit(args, "\n".join(lines) + "\n")
@@ -339,19 +335,19 @@ def cmd_hammock(args: argparse.Namespace) -> int:
     build = hammock_minus if args.direction == "minus" else hammock_plus
     hammock = build(atype.diagram, base)
     if args.format == "dot":
-        _emit(args, hammock_dot(atype.diagram, hammock))
+        _emit(args, hammock_dot(atype.diagram, base, hammock))
     elif args.format == "json":
         payload = {
             "type": type_json(atype),
-            "base": {"x": base.x, "t": label_str(base.t)},
+            "base": {"x": base.x, "t": str(base.t)},
             "direction": args.direction,
             "members": [
-                {"x": v.x, "t": label_str(v.t)} for v in hammock.sorted_members()
+                {"x": v.x, "t": str(v.t)} for v in sorted(hammock, key=Vertex.sort_key)
             ],
         }
         _emit(args, _dump_json(payload))
     else:
-        members = " ".join(str(v) for v in hammock.sorted_members())
+        members = " ".join(str(v) for v in sorted(hammock, key=Vertex.sort_key))
         _emit(args, f"H{'-' if args.direction == 'minus' else '+'}{base}: {members}\n")
     return 0
 

@@ -2,8 +2,9 @@
 
 Vertices, the translation tau, the syzygy automorphism omega, the finite
 twist phi, membership in and reduction modulo the admissible group
-<tau^n phi> (``orbit_residues``, ``orbit_offsets``), and the hammock
-supports of the stable Hom functor computed by mesh knitting.
+<tau^n phi> (``orbit_residues``, ``orbit_offsets``), the hammock supports
+of the stable Hom functor, knitted on the mesh and returned as frozensets
+of vertices, and one DOT writer for hammocks and orbit quivers.
 
 Each diagram's integer geometry is cached per diagram, never per algebra
 type: the omega and phi step tables, and every backward hammock knitted
@@ -30,14 +31,13 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, count
 from operator import or_
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "SPINE_MINUS",
     "SPINE_PLUS",
     "AlgebraType",
     "Diagram",
-    "Hammock",
     "Vertex",
     "group_generator",
     "group_member",
@@ -140,10 +140,6 @@ class Diagram:
     def labels(self) -> tuple[Label, ...]:
         """The labels, in the order of ``Vertex.sort_key``."""
         return _structure(self.family, self.rank)[0]
-
-    @property
-    def arrows(self) -> tuple[tuple[Label, Label], ...]:
-        return _structure(self.family, self.rank)[1]
 
     def check_label(self, t: Label) -> None:
         """Raise ``ValueError`` unless t is one of the labels, by type and value.
@@ -276,6 +272,8 @@ class AlgebraType:
         fam, rank = self.diagram.family, self.diagram.rank
         if type(self.s) is not int or self.s not in (1, 2, 3):
             raise ValueError(f"twist order must be 1, 2 or 3, got {self.s!r}")
+        if not isinstance(self.u, Fraction):
+            raise ValueError(f"u must be a Fraction, got {self.u!r}")
         if self.u <= 0:
             raise ValueError(f"u must be positive, got {self.u}")
         if type(self.n) is not int:
@@ -375,6 +373,7 @@ def _phi_steps(family: str, rank: int, s: int) -> dict[Label, tuple[int, Label]]
 def phi(atype: AlgebraType, v: Vertex) -> Vertex:
     """The finite twist entering the group generator; identity when s == 1."""
     diagram = atype.diagram
+    diagram.check_label(v.t)
     return _apply(_phi_steps(diagram.family, diagram.rank, atype.s), diagram, v)
 
 
@@ -386,6 +385,7 @@ def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
 
 def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     """Orbit representatives: the orbit of v is their translates by period-multiples."""
+    atype.diagram.check_label(v.t)
     reps = [v]
     for _ in range(atype.s - 1):
         reps.append(group_generator(atype, reps[-1]))
@@ -426,26 +426,6 @@ def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
         if rep.t == w.t and (w.x - rep.x) % period == 0:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class Hammock:
-    """Finite support of stable Hom into (or out of) the base vertex."""
-
-    base: Vertex
-    members: frozenset[Vertex]
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self.members)
-
-    def sorted_members(self) -> list[Vertex]:
-        return sorted(self.members, key=Vertex.sort_key)
 
 
 def _knit_plan(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
@@ -535,22 +515,20 @@ def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
     return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
 
 
-def hammock_minus(diagram: Diagram, v: Vertex) -> Hammock:
+def hammock_minus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
     """Support of stable Hom(-, v), from ``hammock_columns`` of its label."""
     diagram.check_label(v.t)
     columns = hammock_columns(diagram, v.t)
-    members = frozenset(Vertex(v.x + dx, c) for c, dxs in columns.items() for dx in dxs)
-    return Hammock(base=v, members=members)
+    return frozenset(Vertex(v.x + dx, c) for c, dxs in columns.items() for dx in dxs)
 
 
-def hammock_plus(diagram: Diagram, v: Vertex) -> Hammock:
+def hammock_plus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
     """Support of stable Hom(v, -): cell v.t of ``_knit_lanes``, read as its forward hammock."""
     diagram.check_label(v.t)
     labels = diagram.labels
     n = len(labels)
     row = _hammock_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
-    members = frozenset(Vertex(v.x - j // n, labels[j % n]) for j in compress(count(), row))
-    return Hammock(base=v, members=members)
+    return frozenset(Vertex(v.x - j // n, labels[j % n]) for j in compress(count(), row))
 
 
 # ---------------------------------------------------------------------------
@@ -569,31 +547,34 @@ def _mesh_successors(diagram: Diagram, v: Vertex) -> list[Vertex]:
     return succ
 
 
-def hammock_dot(diagram: Diagram, hammock: Hammock) -> str:
-    """Render the slices spanned by a hammock as a DOT digraph.
+def _dot(name: str, nodes: list[Vertex], edges, filled, ringed: Vertex | None = None) -> str:
+    """DOT digraph of ``nodes`` then ``edges``; ``filled`` filled, ``ringed`` double-circled."""
+    lines = [f"digraph {name} {{", "  rankdir=RL;"]
+    for v in nodes:
+        attrs = [f'label="{v}"']
+        if v == ringed:
+            attrs.append("shape=doublecircle")
+        if v in filled:
+            attrs.append("style=filled")
+            attrs.append("fillcolor=lightgray")
+        lines.append(f'  "{_node_id(v)}" [{", ".join(attrs)}];')
+    lines += [f'  "{_node_id(v)}" -> "{_node_id(w)}";' for v, w in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def hammock_dot(diagram: Diagram, base: Vertex, members: frozenset[Vertex]) -> str:
+    """Render the slices spanned by the hammock ``members`` of ``base`` as a DOT digraph.
 
     Every vertex of the covered window becomes a node; hammock members are
     filled, the base vertex is double-circled.
     """
-    xs = [v.x for v in hammock.members] + [hammock.base.x]
+    xs = [v.x for v in members] + [base.x]
     lo, hi = min(xs), max(xs)
     window = [Vertex(x, t) for x in range(lo, hi + 1) for t in diagram.labels]
     inside = set(window)
-    lines = ["digraph hammock {", "  rankdir=RL;"]
-    for v in sorted(window, key=Vertex.sort_key):
-        attrs = [f'label="{v}"']
-        if v == hammock.base:
-            attrs.append("shape=doublecircle")
-        if v in hammock.members:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-        lines.append(f'  "{_node_id(v)}" [{", ".join(attrs)}];')
-    for v in sorted(window, key=Vertex.sort_key):
-        for w in _mesh_successors(diagram, v):
-            if w in inside:
-                lines.append(f'  "{_node_id(v)}" -> "{_node_id(w)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [(v, w) for v in window for w in _mesh_successors(diagram, v) if w in inside]
+    return _dot("hammock", window, edges, members, base)
 
 
 def canonical_rep(atype: AlgebraType, v: Vertex) -> Vertex:
@@ -612,19 +593,7 @@ def orbit_quiver_dot(atype: AlgebraType, highlight: Vertex | None = None) -> str
         },
         key=Vertex.sort_key,
     )
-    marked = canonical_rep(atype, highlight) if highlight is not None else None
-    lines = ["digraph orbit_quiver {", "  rankdir=RL;"]
-    for v in nodes:
-        attrs = [f'label="{v}"']
-        if v == marked:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-        lines.append(f'  "{_node_id(v)}" [{", ".join(attrs)}];')
-    edges = set()
-    for v in nodes:
-        for w in _mesh_successors(diagram, v):
-            edges.add((v, canonical_rep(atype, w)))
-    for v, w in sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key())):
-        lines.append(f'  "{_node_id(v)}" -> "{_node_id(w)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    marked = (canonical_rep(atype, highlight),) if highlight is not None else ()
+    edges = {(v, canonical_rep(atype, w)) for v in nodes for w in _mesh_successors(diagram, v)}
+    ordered = sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+    return _dot("orbit_quiver", nodes, ordered, marked)

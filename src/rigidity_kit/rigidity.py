@@ -9,11 +9,12 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
-  the omega period, since the base vertex lies in its own hammock.  For each
+  the omega period, since the base vertex lies in its own hammock; aimed at
+  the vertex alone, the same capped walk gives ``omega_period``.  For each
   label it reaches, the walk builds once per call the set of x-offsets mod
   period, relative to the base, at which a vertex of that label meets the
-  hammock, from the cached hammock columns and the orbit offsets; each step
-  is one ``omega`` table lookup and one set test.
+  target, from its columns and the orbit offsets; each step is one
+  ``omega`` table lookup and one set test.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -34,7 +35,6 @@ from .quiver import (
     AlgebraType,
     Label,
     Vertex,
-    group_member,
     hammock_columns,
     omega,
     orbit_offsets,
@@ -270,21 +270,24 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     return RigidityReport(atype, Vertex(0, t), rd, branch)
 
 
-def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
-    """Yield (i, hit) for i = 1, 2, ...: whether i is a self-extension degree of v.
+def _omega_walk(
+    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]]
+) -> Iterator[tuple[int, bool]]:
+    """Yield (i, hit) for i = 1, 2, ...: whether the i-th omega shift of v meets the target.
 
-    Degree i qualifies when some group translate of w, the i-th omega shift
-    of v, lands in the hammock of v.  The orbit of w is the translates by
+    The target is ``columns`` placed at v: the vertices (v.x + dx, c) with dx
+    in ``columns[c]``, as ``hammock_columns`` gives them for the hammock of v.
+    Degree i is a hit when some group translate of w, the i-th omega shift
+    of v, lands in the target.  The orbit of w is the translates by
     period-multiples of (w.x + ox, c) over the orbit offsets of w.t, so that
     holds exactly when (w.x - v.x) mod period is some dx - ox with dx in the
-    hammock's column of c.  Those residues are built once per label the walk
-    reaches; each step is then one ``omega`` call and one set test.
+    target's column of c.  Those residues are built once per label the walk
+    reaches; each step is then one ``omega`` call and one set test.  Callers
+    check the label of v before they build a target keyed by it.
     """
     diagram = atype.diagram
-    diagram.check_label(v.t)
     period = atype.period
     offsets = orbit_offsets(atype)
-    columns = hammock_columns(diagram, v.t)
     hits: dict[Label, frozenset[int]] = {}
     w = v
     for i in count(1):
@@ -297,29 +300,30 @@ def _omega_walk(atype: AlgebraType, v: Vertex) -> Iterator[tuple[int, bool]]:
         yield i, (w.x - v.x) % period in residues
 
 
+def _first_hit(
+    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]], failure: str
+) -> int:
+    """First hit of ``_omega_walk``; past a step cap, ``RuntimeError`` of ``failure.format(v)``."""
+    cap = 4 * atype.s * atype.n * (atype.m_delta + 1)
+    for i, hit in islice(_omega_walk(atype, v, columns), cap):
+        if hit:
+            return i
+    raise RuntimeError(f"{failure.format(v)} within {cap} steps")
+
+
 def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
     """Self-extension degrees in [1, horizon], by direct enumeration on ZD."""
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    return tuple(i for i, hit in islice(_omega_walk(atype, v), horizon) if hit)
-
-
-def _step_cap(atype: AlgebraType) -> int:
-    """Cap on the omega steps of one walk before it fails fast."""
-    return 4 * atype.s * atype.n * (atype.m_delta + 1)
+    atype.diagram.check_label(v.t)
+    walk = _omega_walk(atype, v, hammock_columns(atype.diagram, v.t))
+    return tuple(i for i, hit in islice(walk, horizon) if hit)
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
-    """Smallest p >= 1 with omega^p(v) in the orbit of v."""
-    diagram = atype.diagram
-    diagram.check_label(v.t)
-    cap = _step_cap(atype)
-    w = v
-    for p in range(1, cap + 1):
-        w = omega(diagram, w)
-        if group_member(atype, v, w):
-            return p
-    raise RuntimeError(f"omega orbit of {v} did not close within {cap} steps")
+    """Smallest p >= 1 with omega^p(v) in the orbit of v: the walk's first return to v."""
+    atype.diagram.check_label(v.t)
+    return _first_hit(atype, v, {v.t: (0,)}, "omega orbit of {} did not close")
 
 
 def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
@@ -328,13 +332,13 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     The rigidity degree counts the consecutive vanishing self-extensions, so
     it is one less than the first self-extension degree.  That degree is at
     most the omega period of v, because v lies in its own hammock; a walk
-    longer than ``_step_cap`` raises ``RuntimeError``.
+    past the cap of ``_first_hit`` raises ``RuntimeError``.
     """
-    cap = _step_cap(atype)
-    for i, hit in islice(_omega_walk(atype, v), cap):
-        if hit:
-            return RigidityReport(atype, v, i - 1, None, i)
-    raise RuntimeError(f"omega walk of {v} met no self-extension within {cap} steps")
+    atype.diagram.check_label(v.t)
+    i = _first_hit(
+        atype, v, hammock_columns(atype.diagram, v.t), "omega walk of {} met no self-extension"
+    )
+    return RigidityReport(atype, v, i - 1, None, i)
 
 
 def endpoint_scan(atype: AlgebraType) -> tuple[tuple[int, int], ...]:

@@ -192,7 +192,7 @@ def _check_rectangles():
             expected = {
                 Vertex(j, t + i - j) for j in range(t) for i in range(m - t)
             }
-            assert hammock_minus(diagram, Vertex(0, t)).members == expected, (m, t)
+            assert hammock_minus(diagram, Vertex(0, t)) == expected, (m, t)
 
 
 def _check_se_membership_rules():

@@ -12,22 +12,23 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", PERFBENCH / "tracer.py")
 
 LOOKUPS = (
     [(module, name) for module, names in tracer.SPANS.items() for name in names]
@@ -89,3 +90,42 @@ def test_rd_oracle_steps_through_omega(monkeypatch, family, rank, u, s):
         calls = 0
         report = rigidity.rd_oracle(atype, Vertex(0, t))
         assert calls >= report.witness > 0, t
+
+
+HAMMOCK_LEAVES = ("hammock_minus", "hammock_plus", "hammock_dot", "orbit_quiver_dot")
+
+
+def test_tracer_counts_the_hammock_leaves(monkeypatch, capsys):
+    """The tracer's hammock and DOT leaf wrappers are reached by the CLI, and change no output.
+
+    No benchmark workload runs ``hammock``, so this is what shows the four
+    leaves still wrap the functions the CLI calls.  ``fresh_import`` swaps
+    the package in ``sys.modules``; the copy the other tests imported is put
+    back afterwards.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # measure.py imports tracer by name
+    measure = _load("perfbench_measure", PERFBENCH / "measure.py")
+    from rigidity_kit.cli import main
+
+    spec = ["hammock", "--delta", "D", "--rank", "6", "--u", "1", "--t", "m+", "--format", "dot"]
+    argvs = [spec + ["--direction", "minus"], spec + ["--direction", "plus"], spec + ["--orbit"]]
+    untraced = []
+    for argv in argvs:
+        assert main(argv) == 0
+        untraced.append(capsys.readouterr().out)
+    saved = {name: module for name, module in sys.modules.items()
+             if name == "rigidity_kit" or name.startswith("rigidity_kit.")}
+    try:
+        mods = measure.fresh_import(with_cli=True)
+        traced = tracer.Tracer()
+        traced.install(mods)
+        for argv, expected in zip(argvs, untraced):
+            assert mods.cli.main(argv) == 0
+            assert capsys.readouterr().out == expected
+    finally:
+        for name in [name for name in sys.modules
+                     if name == "rigidity_kit" or name.startswith("rigidity_kit.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    counts = traced.counts()
+    assert [name for name in HAMMOCK_LEAVES if counts[f"quiver.{name}"] < 1] == []

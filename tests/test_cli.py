@@ -364,6 +364,39 @@ ORBIT_S2_STDOUT_SHA256 = {
 }
 TABLE_D6_STDOUT_SHA256 = "aacfcd0d9894573d17805841ea21efbb272798d0af296213cd7410b20d38eb57"
 
+# sha256 of `rd --oracle` stdout per case and format, of `table --format FMT` on
+# D6 u=2 s=2, and of `hammock --orbit --format dot` on untwisted and triality types
+RD_ORACLE_CASES = {
+    "A8-u17_8-t1": ("--delta", "A", "--rank", "8", "--u", "17/8", "--t", "1"),
+    "D6-u2-s2-tm-": ("--delta", "D", "--rank", "6", "--u", "2", "--s", "2", "--t", "m-"),
+}
+RD_ORACLE_STDOUT_SHA256 = {
+    ("A8-u17_8-t1", "text"):
+        "88d470b35ac132d88793ebbf786b58c6c7d0fb8f26ac925f3bf3382443c5d03e",
+    ("A8-u17_8-t1", "json"):
+        "8440b439e27354c1813f980c64c840b6dba6eb263022e57c500d08601cd33b5a",
+    ("A8-u17_8-t1", "csv"):
+        "b2df8b3e24f6aac9ef6e959f1026047325915a5b8aed08aee469dde8ccb71ab4",
+    ("D6-u2-s2-tm-", "text"):
+        "faee0b746f649ffe3f1562c10079797609f8124b20fc1a3b6e3d0db1729cb0d6",
+    ("D6-u2-s2-tm-", "json"):
+        "90b3bbe616c69563b46cff339a5231647098f9cbac4a4abe7d252670b7e29334",
+    ("D6-u2-s2-tm-", "csv"):
+        "015aea9af4963134ade0edcf598b3d9dec38cabc98fa0105b8dd4199b534ade7",
+}
+TABLE_D6_S2_STDOUT_SHA256 = {
+    "csv": "52a03f0be3597a07a8a131dd1c9f990c0573c5e514258985b1dd27ec618b8609",
+    "json": "7fcf306d741093c84ccbab23f7bbbeef0b002f0f022756774feb0a6be0c7810f",
+}
+ORBIT_CASES = {
+    "A3-u2-s1-t1": ("--delta", "A", "--rank", "3", "--u", "2", "--s", "1", "--t", "1"),
+    "D4-u1-s3-tm+": ("--delta", "D", "--rank", "4", "--u", "1", "--s", "3", "--t", "m+"),
+}
+ORBIT_STDOUT_SHA256 = {
+    "A3-u2-s1-t1": "b1e0e3a39ec42be4d4ab626541b65e83ee7e5c2057e3483d306fac780c91f000",
+    "D4-u1-s3-tm+": "9ca32efad6306224b7c6f35fd8d83d51c3be681339fb1adfe1ee3ab9b8b4a752",
+}
+
 # sha256 of `rigdim` stdout per case and format
 RIGDIM_CASES = {
     "A1-n4": ("--delta", "A", "--rank", "1", "--n", "4"),  # A s=1, n = 2a
@@ -436,6 +469,31 @@ class TestGoldenStdout:
         status, out, _ = run_cli(capsys, "table", "--delta", "D", "--rank", "6", "--u", "1")
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_D6_STDOUT_SHA256
+
+    @pytest.mark.parametrize("fmt", sorted(TABLE_D6_S2_STDOUT_SHA256))
+    def test_table_twisted(self, capsys, fmt):
+        status, out, _ = run_cli(
+            capsys, "table", "--delta", "D", "--rank", "6", "--u", "2", "--s", "2", "--format", fmt,
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_D6_S2_STDOUT_SHA256[fmt]
+
+    @pytest.mark.parametrize("key", sorted(RD_ORACLE_STDOUT_SHA256), ids="-".join)
+    def test_rd_oracle(self, capsys, key):
+        case, fmt = key
+        status, out, _ = run_cli(
+            capsys, "rd", *RD_ORACLE_CASES[case], "--oracle", "--format", fmt,
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RD_ORACLE_STDOUT_SHA256[key]
+
+    @pytest.mark.parametrize("case", sorted(ORBIT_STDOUT_SHA256))
+    def test_orbit_quiver_untwisted_and_triality(self, capsys, case):
+        status, out, _ = run_cli(
+            capsys, "hammock", *ORBIT_CASES[case], "--orbit", "--format", "dot",
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_STDOUT_SHA256[case]
 
     @pytest.mark.parametrize("key", sorted(RIGDIM_STDOUT_SHA256), ids="-".join)
     def test_rigdim(self, capsys, key):

@@ -239,6 +239,12 @@ class TestOracle:
         with pytest.raises(RuntimeError, match="no self-extension"):
             rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
 
+    def test_unhashable_label_raises_check_label_error(self):
+        # the label is checked before a hammock or a target keyed by it is built
+        for call in (rd_oracle, omega_period, lambda at, v: se_oracle(at, v, 3)):
+            with pytest.raises(ValueError, match=r"label \[1\] is not a vertex of A8"):
+                call(NAKAYAMA_17_9, Vertex(0, [1]))
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             se_oracle(NAKAYAMA_17_9, Vertex(0, 1), 0)
@@ -261,7 +267,7 @@ class TestOracle:
         d = at.diagram
         for t in (d.labels[0], d.labels[-1]):
             v = Vertex(0, t)
-            members = hammock_minus(d, v).members
+            members = hammock_minus(d, v)
             w = v
             literal = []
             for i in range(1, 21):
@@ -309,7 +315,7 @@ def test_walk_matches_definition(at):
     for t in d.labels:
         for x in (0, 3, -7):
             v = Vertex(x, t)
-            members = hammock_minus(d, v).members
+            members = hammock_minus(d, v)
             literal = []
             w = v
             for i in range(1, horizon + 1):
@@ -317,6 +323,19 @@ def test_walk_matches_definition(at):
                 if any(group_member(at, h, w) for h in members):
                     literal.append(i)
             assert se_oracle(at, v, horizon) == tuple(literal), (t, x)
+
+
+@pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
+def test_omega_period_matches_definition(at):
+    # the first p at which w, reached by p single omega steps, is in the orbit of v
+    d = at.diagram
+    for t in d.labels:
+        for x in (0, 3, -7):
+            v = Vertex(x, t)
+            w, p = omega(d, v), 1
+            while not group_member(at, v, w):
+                w, p = omega(d, w), p + 1
+            assert omega_period(at, v) == p, (t, x)
 
 
 # every family and twist order, fractional type D included, at small u
