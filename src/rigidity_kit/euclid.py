@@ -43,7 +43,7 @@ def weighted_fibonacci(weights: Sequence[int]) -> tuple[int, ...]:
     """
     values = [0, 1]
     for w in weights:
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise ValueError(f"weights must be positive integers, got {w!r}")
         values.append(w * values[-1] + values[-2])
     return tuple(values)

@@ -7,12 +7,13 @@ of the stable Hom functor, knitted on the mesh and returned as frozensets
 of vertices, and one DOT writer for hammocks and orbit quivers.
 
 Each diagram's integer geometry is cached per diagram, never per algebra
-type: the omega and phi step tables, and every backward hammock knitted
-in one pass on byte lanes (``_knit_lanes``).  The lanes are read by label
-for the oracle and ``hammock_minus`` (``hammock_columns``), by cell for the
-certificate (``hammock_incidence``) and by cell as forward hammocks for
-``hammock_plus``, since z lies in H+(v) exactly when v lies in H-(z).  Only
-``orbit_offsets`` depends on the type; it keeps the last type alone.
+type: the omega and phi step tables, which ``omega`` and ``phi`` index, and
+every backward hammock, knitted in one pass on byte lanes by ``_knit_lanes``,
+which holds that cache.  The lanes are read by label for the oracle and
+``hammock_minus`` (``hammock_columns``), by cell for the certificate
+(``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
+since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
+depends on the type, composed on the phi table; it keeps the last type alone.
 Labels are checked where they enter, by ``Diagram.check_label``, not on
 every step; the hammock caches key on the label's type too, so a bool or
 float equal to a label meets that check.
@@ -61,7 +62,6 @@ SPINE_MINUS = "m-"
 
 Label = Union[int, str]
 
-_E_M_DELTA = {6: 11, 7: 17, 8: 29}
 _E_H_STAR = {6: 6, 7: 9, 8: 15}
 
 
@@ -120,12 +120,8 @@ class Diagram:
 
     @property
     def m_delta(self) -> int:
-        """Nilpotency bound of the mesh category (Coxeter number minus one)."""
-        if self.family == "A":
-            return self.rank
-        if self.family == "D":
-            return 2 * self.rank - 3
-        return _E_M_DELTA[self.rank]
+        """Coxeter number h minus one; h is ``h_star`` for type A, twice it for D and E."""
+        return (self.h_star if self.family == "A" else 2 * self.h_star) - 1
 
     @property
     def h_star(self) -> int:
@@ -147,13 +143,13 @@ class Diagram:
         A bool or a float equal to an integer label is rejected, as is a
         spine string outside type D.
         """
-        if type(t) not in (int, str) or t not in _label_set(self.family, self.rank):
+        if type(t) not in (int, str) or t not in _structure(self.family, self.rank)[1]:
             raise ValueError(f"label {t!r} is not a vertex of {self.family}{self.rank}")
 
 
 @lru_cache(maxsize=None)
 def _structure(family: str, rank: int):
-    """Labels and a fixed edge orientation pinning the coordinates of ZD.
+    """Labels, their frozenset and a fixed edge orientation pinning the coordinates of ZD.
 
     The orientation is the one under which the automorphism formulas below
     hold verbatim: chains point towards label 1, and the D fork and the E
@@ -192,13 +188,7 @@ def _structure(family: str, rank: int):
                 break
         else:  # pragma: no cover - the diagram is a tree
             raise AssertionError("orientation is cyclic")
-    return labels, arrows, ins, outs, tuple(placed)
-
-
-@lru_cache(maxsize=None)
-def _label_set(family: str, rank: int) -> frozenset[Label]:
-    """The labels as a set, for ``Diagram.check_label``."""
-    return frozenset(_structure(family, rank)[0])
+    return labels, frozenset(labels), ins, outs, tuple(placed)
 
 
 def tau(v: Vertex, steps: int = 1) -> Vertex:
@@ -231,18 +221,13 @@ def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
     return steps
 
 
-def _apply(steps: dict[Label, tuple[int, Label]], diagram: Diagram, v: Vertex) -> Vertex:
-    """Apply a step table to v; a label missing from it raises ``check_label``'s error."""
-    step = steps.get(v.t)
+def omega(diagram: Diagram, v: Vertex) -> Vertex:
+    """The syzygy automorphism of ZD in the fixed coordinates, one table lookup."""
+    step = _omega_steps(diagram.family, diagram.rank).get(v.t)
     if step is None:
         diagram.check_label(v.t)
     dx, t = step
     return Vertex(v.x + dx, t)
-
-
-def omega(diagram: Diagram, v: Vertex) -> Vertex:
-    """The syzygy automorphism of ZD in the fixed coordinates, one table lookup."""
-    return _apply(_omega_steps(diagram.family, diagram.rank), diagram, v)
 
 
 def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
@@ -318,6 +303,8 @@ class AlgebraType:
     @classmethod
     def create(cls, family: str, rank: int, u: Fraction | int | str, s: int = 1) -> "AlgebraType":
         diagram = Diagram(family, rank)
+        if type(u) not in (Fraction, int, str):
+            raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
         frac = Fraction(u)
         n = frac * diagram.m_delta
         if n.denominator != 1:
@@ -331,14 +318,6 @@ class AlgebraType:
         """Expert constructor from the raw tau-exponent of the group generator."""
         diagram = Diagram(family, rank)
         return cls(diagram=diagram, s=s, u=Fraction(n) / diagram.m_delta, n=n)
-
-    @property
-    def m_delta(self) -> int:
-        return self.diagram.m_delta
-
-    @property
-    def h_star(self) -> int:
-        return self.diagram.h_star
 
     @property
     def period(self) -> int:
@@ -374,7 +353,8 @@ def phi(atype: AlgebraType, v: Vertex) -> Vertex:
     """The finite twist entering the group generator; identity when s == 1."""
     diagram = atype.diagram
     diagram.check_label(v.t)
-    return _apply(_phi_steps(diagram.family, diagram.rank, atype.s), diagram, v)
+    dx, t = _phi_steps(diagram.family, diagram.rank, atype.s)[v.t]
+    return Vertex(v.x + dx, t)
 
 
 def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
@@ -386,10 +366,7 @@ def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
 def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     """Orbit representatives: the orbit of v is their translates by period-multiples."""
     atype.diagram.check_label(v.t)
-    reps = [v]
-    for _ in range(atype.s - 1):
-        reps.append(group_generator(atype, reps[-1]))
-    return tuple(reps)
+    return tuple(Vertex(v.x + dx, t) for t, dx in orbit_offsets(atype)[v.t])
 
 
 def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]]:
@@ -397,35 +374,45 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
 
     w lies in the orbit of v exactly when (w.t, w.x mod period) is one of them.
     """
-    atype.diagram.check_label(v.t)
     period = atype.period
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
 
 @lru_cache(maxsize=1)
 def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
-    """``orbit_reps(atype, Vertex(0, t))`` of every label t, as pairs (t', dx).
+    """The orbit representatives of (0, t) for every label t, as pairs (t', dx).
 
-    As phi commutes with tau, the orbit of (x, t) is the translates by
-    period-multiples of the vertices (x + dx, t').  Memoised for the last
-    type only, since callers go through one type's labels in a row; the
-    returned dict is shared by every caller of the cache, so never mutate it.
+    Powers 0..s-1 of ``tau^n . phi``, composed on the phi table: each adds n
+    to the phi step of the label reached.  As phi commutes with tau, the
+    orbit of (x, t) is the translates by period-multiples of the vertices
+    (x + dx, t').  Memoised for the last type only, since callers go through
+    one type's labels in a row; the returned dict is shared by every caller
+    of the cache, so never mutate it.
     """
-    return {
-        t: tuple((r.t, r.x) for r in orbit_reps(atype, Vertex(0, t)))
-        for t in atype.diagram.labels
-    }
+    diagram, n = atype.diagram, atype.n
+    steps = _phi_steps(diagram.family, diagram.rank, atype.s)
+    offsets = {}
+    for t in diagram.labels:
+        orbit = [(t, 0)]
+        for _ in range(atype.s - 1):
+            dx, c = steps[orbit[-1][0]]
+            orbit.append((c, orbit[-1][1] + dx + n))
+        offsets[t] = tuple(orbit)
+    return offsets
 
 
 def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
-    """Whether w lies in the orbit of v under the admissible group."""
+    """Whether w lies in the orbit of v under the admissible group.
+
+    Applies ``group_generator`` and reads no orbit table: the tests' reference for them.
+    """
     for t in (v.t, w.t):
         atype.diagram.check_label(t)
     period = atype.period
-    for rep in orbit_reps(atype, v):
-        if rep.t == w.t and (w.x - rep.x) % period == 0:
-            return True
-    return False
+    reps = [v]
+    for _ in range(atype.s - 1):
+        reps.append(group_generator(atype, reps[-1]))
+    return any(rep.t == w.t and (w.x - rep.x) % period == 0 for rep in reps)
 
 
 def _knit_plan(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
@@ -438,6 +425,7 @@ def _knit_plan(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...], tupl
     )
 
 
+@lru_cache(maxsize=None)
 def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     """Knit the backward hammock at (0, t) of every label t in one pass, one byte lane per t.
 
@@ -483,12 +471,6 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     return tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
 
 
-@lru_cache(maxsize=None)
-def _hammock_lanes(family: str, rank: int) -> tuple[bytes, ...]:
-    """``_knit_lanes`` of one diagram: the one cached knitting."""
-    return _knit_lanes(family, rank)
-
-
 @lru_cache(maxsize=None, typed=True)
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
@@ -499,7 +481,7 @@ def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     diagram.check_label(t)
     labels = diagram.labels
     n, k = len(labels), labels.index(t)
-    lanes = _hammock_lanes(diagram.family, diagram.rank)
+    lanes = _knit_lanes(diagram.family, diagram.rank)
     return {c: dxs for c, m in zip(labels, lanes) if (dxs := tuple(compress(count(), m[k::n])))}
 
 
@@ -511,7 +493,7 @@ def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
     Cell c of ``_knit_lanes``, each byte made one bit in place (nonzero: 1).
     Shared by every caller; never mutate it.
     """
-    lanes = _hammock_lanes(diagram.family, diagram.rank)
+    lanes = _knit_lanes(diagram.family, diagram.rank)
     return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
 
 
@@ -527,7 +509,7 @@ def hammock_plus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
     diagram.check_label(v.t)
     labels = diagram.labels
     n = len(labels)
-    row = _hammock_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
+    row = _knit_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
     return frozenset(Vertex(v.x - j // n, labels[j % n]) for j in compress(count(), row))
 
 
@@ -585,6 +567,8 @@ def canonical_rep(atype: AlgebraType, v: Vertex) -> Vertex:
 def orbit_quiver_dot(atype: AlgebraType, highlight: Vertex | None = None) -> str:
     """Render the orbit quiver ZD/G as a DOT digraph, one node per orbit."""
     diagram = atype.diagram
+    if highlight is not None:
+        diagram.check_label(highlight.t)
     nodes = sorted(
         {
             canonical_rep(atype, Vertex(x, t))

@@ -249,7 +249,7 @@ def _e_row(atype: AlgebraType, t: int) -> tuple[tuple[int, ...], str]:
 
 def _rd_closed_e(atype: AlgebraType, t: int) -> tuple[int, str]:
     coeffs, branch = _e_row(atype, t)
-    data = weight_sequence(atype.h_star, atype.n)
+    data = weight_sequence(atype.diagram.h_star, atype.n)
     rd = coeffs[0]
     for i in (1, 2, 3):
         if coeffs[i]:
@@ -304,7 +304,7 @@ def _first_hit(
     atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]], failure: str
 ) -> int:
     """First hit of ``_omega_walk``; past a step cap, ``RuntimeError`` of ``failure.format(v)``."""
-    cap = 4 * atype.s * atype.n * (atype.m_delta + 1)
+    cap = 4 * atype.s * atype.n * (atype.diagram.m_delta + 1)
     for i, hit in islice(_omega_walk(atype, v, columns), cap):
         if hit:
             return i
@@ -313,6 +313,8 @@ def _first_hit(
 
 def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
     """Self-extension degrees in [1, horizon], by direct enumeration on ZD."""
+    if type(horizon) is not int:
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
     atype.diagram.check_label(v.t)
@@ -370,8 +372,8 @@ def sweep_types(
     3..rank_max over u = 1..u_max (s=2); type D runs ranks 4..rank_max (D4
     alone for s=3), or with ``fractional`` ranks 6, 9, ... over u = v/3 with
     3 not dividing v; type E runs ``rank`` alone.  Missing bounds, bounds
-    <= 0, bounds the sweep does not use (``fractional`` outside type D
-    included), invalid types and an empty grid raise ``ValueError``.
+    that are not ints or are <= 0, bounds the sweep does not use (``fractional``
+    outside type D included), invalid types and an empty grid raise ``ValueError``.
     """
     sweep = f"type {delta} s={s}"
     if delta == "A":
@@ -388,6 +390,8 @@ def sweep_types(
     if any(bounds[name] is None for name in needs):
         raise ValueError(f"{sweep} sweeps need {' and '.join(needs)}")
     for name in needs:
+        if type(bounds[name]) is not int:
+            raise ValueError(f"{sweep} sweeps: {name} must be an integer, got {bounds[name]!r}")
         if bounds[name] <= 0:
             raise ValueError(f"{sweep} sweeps: {name} must be positive, got {bounds[name]}")
     unused = [name for name, value in bounds.items() if value is not None and name not in needs]

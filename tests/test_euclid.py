@@ -28,7 +28,7 @@ class TestWeightedFibonacci:
     def test_single_step(self):
         assert weighted_fibonacci((2,)) == (0, 1, 2)
 
-    @pytest.mark.parametrize("weights", [(0,), (-1, 2), (1, 0, 3)])
+    @pytest.mark.parametrize("weights", [(0,), (-1, 2), (1, 0, 3), (True,)])
     def test_rejects_non_positive(self, weights):
         with pytest.raises(ValueError):
             weighted_fibonacci(weights)

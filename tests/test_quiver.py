@@ -223,6 +223,21 @@ class TestGroupMember:
         assert group_member(at, Vertex(0, SPINE_PLUS), Vertex(n, SPINE_MINUS))
         assert group_member(at, Vertex(0, SPINE_PLUS), Vertex(2 * n, SPINE_PLUS))
 
+    def test_independent_of_the_orbit_tables(self, monkeypatch):
+        # group_member is the reference the orbit tables are checked against
+        def broken(atype):
+            raise AssertionError("group_member read orbit_offsets")
+
+        monkeypatch.setattr(quiver, "orbit_offsets", broken)
+        twisted = AlgebraType.create("A", 5, 2, 2)
+        assert group_member(twisted, Vertex(0, 2), Vertex(twisted.n - 1, 4))
+        assert not group_member(twisted, Vertex(0, 2), Vertex(twisted.n, 4))
+        triality = AlgebraType.create("D", 4, 1, 3)
+        n = triality.n
+        assert group_member(triality, Vertex(0, 1), Vertex(n, SPINE_MINUS))
+        assert group_member(triality, Vertex(0, 1), Vertex(2 * n, SPINE_PLUS))
+        assert not group_member(triality, Vertex(0, 1), Vertex(n, SPINE_PLUS))
+
     @pytest.mark.parametrize(
         "at",
         [
@@ -383,9 +398,12 @@ class TestAlgebraTypeValidation:
              "tau-exponent must be an integer, got True"),
             (lambda: AlgebraType(Diagram("A", 3), 1, True, 3), "u must be a Fraction, got True"),
             (lambda: AlgebraType(Diagram("A", 3), 1, 1.0, 3), "u must be a Fraction, got 1.0"),
+            (lambda: AlgebraType.create("A", 3, True), "u must be a Fraction, an int or a str, got True"),
+            (lambda: AlgebraType.create("A", 4, 0.5), "u must be a Fraction, an int or a str, got 0.5"),
+            (lambda: AlgebraType.create("E", 6, 2.0), "u must be a Fraction, an int or a str, got 2.0"),
         ],
         ids=["bool-rank", "float-rank", "float-s", "bool-s", "bool-n", "float-n", "bool-n-direct",
-             "bool-u-direct", "float-u-direct"],
+             "bool-u-direct", "float-u-direct", "bool-u", "float-u", "float-u-integral"],
     )
     def test_bool_or_non_int_parameter_raises(self, build, message):
         with pytest.raises(ValueError) as info:
@@ -577,7 +595,7 @@ def reference_knit_profile(family, rank, t0, forward):
 @pytest.fixture
 def cold_hammocks():
     """Empty every hammock cache before and after the test."""
-    caches = (quiver._hammock_lanes, hammock_columns, hammock_incidence)
+    caches = (quiver._knit_lanes, hammock_columns, hammock_incidence)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -586,14 +604,14 @@ def cold_hammocks():
 
 
 def lane_profile(d, t, forward):
-    """The hammock at (0, t) as ``reference_knit_profile`` gives it, read off ``_hammock_lanes``.
+    """The hammock at (0, t) as ``reference_knit_profile`` gives it, read off ``_knit_lanes``.
 
     Backward it is lane t of every cell; forward it is the row of cell t, since
     z lies in the forward hammock of v exactly when v lies in the backward one of z.
     """
     labels = d.labels
     n, k = len(labels), labels.index(t)
-    lanes = quiver._hammock_lanes(d.family, d.rank)
+    lanes = quiver._knit_lanes(d.family, d.rank)
     if forward:
         slices = (lanes[k][i:i + n] for i in range(0, len(lanes[k]), n))
     else:
@@ -649,14 +667,15 @@ class TestKnitKernel:
                 read()
 
     def test_one_knit_serves_every_reader(self, monkeypatch, cold_hammocks):
+        # the cache sits on ``_knit_lanes`` itself, so count the plans it knits from
         knits = []
-        knit = quiver._knit_lanes
+        plan = quiver._knit_plan
 
         def counted(family, rank):
             knits.append((family, rank))
-            return knit(family, rank)
+            return plan(family, rank)
 
-        monkeypatch.setattr(quiver, "_knit_lanes", counted)
+        monkeypatch.setattr(quiver, "_knit_plan", counted)
         d = Diagram("D", 12)
         for t in d.labels:
             hammock_columns(d, t)
@@ -853,6 +872,21 @@ class TestDot:
         assert text.startswith("digraph orbit_quiver {")
         assert '"0_p"' in text and '"0_m"' in text
         assert "lightgray" in text
+
+    def test_orbit_quiver_dot_checks_the_highlight_first(self, monkeypatch):
+        # a bad highlight must fail before any node of the quiver is built
+        calls = []
+        canonical = quiver.canonical_rep
+
+        def counted(atype, v):
+            calls.append(v)
+            return canonical(atype, v)
+
+        monkeypatch.setattr(quiver, "canonical_rep", counted)
+        at = AlgebraType.create("E", 8, 2)
+        with pytest.raises(ValueError, match="label 99 is not a vertex of E8"):
+            orbit_quiver_dot(at, highlight=Vertex(0, 99))
+        assert calls == []
 
     def test_orbit_quiver_node_count(self):
         # one node per module: n * rank for an untwisted type

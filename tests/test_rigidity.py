@@ -17,10 +17,12 @@ from rigidity_kit import (
     SPINE_MINUS,
     SPINE_PLUS,
     AlgebraType,
+    Diagram,
     RigidityReport,
     Vertex,
     agreement,
     endpoint_scan,
+    group_generator,
     group_member,
     hammock_minus,
     omega,
@@ -246,8 +248,9 @@ class TestOracle:
                 call(NAKAYAMA_17_9, Vertex(0, [1]))
 
     def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            se_oracle(NAKAYAMA_17_9, Vertex(0, 1), 0)
+        for horizon in (0, True, 2.5):
+            with pytest.raises(ValueError):
+                se_oracle(NAKAYAMA_17_9, Vertex(0, 1), horizon)
 
     @pytest.mark.parametrize(
         "at",
@@ -493,6 +496,63 @@ def test_orbit_offsets_memo_is_invisible(types):
                 assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
                 evicted[at].append(report(at, at.diagram.labels[k]))
     assert evicted == cold
+
+
+def generator_walk(at, t):
+    """The s-fold ``group_generator`` walk from (0, t), read as (label, x)."""
+    w, walk = Vertex(0, t), []
+    for _ in range(at.s):
+        walk.append((w.t, w.x))
+        w = group_generator(at, w)
+    return tuple(walk)
+
+
+@pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
+def test_orbit_offsets_match_the_generator_walk(at):
+    offsets = orbit_offsets(at)
+    assert list(offsets) == list(at.diagram.labels)
+    for t in at.diagram.labels:
+        assert offsets[t] == generator_walk(at, t), t
+
+
+@given(small_u_types)
+@settings(max_examples=60, deadline=None)
+def test_orbit_offsets_match_the_generator_walk_on_small_types(at):
+    offsets = orbit_offsets(at)
+    assert {t: generator_walk(at, t) for t in at.diagram.labels} == offsets
+
+
+def test_orbit_offsets_check_no_label(monkeypatch):
+    # composed on the phi table in integers: no label to check, no Vertex to build
+    calls = []
+    check = Diagram.check_label
+
+    def counted(diagram, t):
+        calls.append(t)
+        return check(diagram, t)
+
+    monkeypatch.setattr(Diagram, "check_label", counted)
+    for at in REFERENCE_TYPES:
+        orbit_offsets.__wrapped__(at)
+    assert calls == []
+
+
+class TestSweepTypeBounds:
+    @pytest.mark.parametrize("bound", [True, 2.0, 2.5])
+    @pytest.mark.parametrize(
+        "delta,s,bounds,name",
+        [
+            ("A", 1, {"rank_max": 2, "n_max": 2}, "rank_max"),
+            ("A", 1, {"rank_max": 2, "n_max": 2}, "n_max"),
+            ("A", 2, {"rank_max": 5, "u_max": 2}, "u_max"),
+            ("D", 3, {"u_max": 2}, "u_max"),
+            ("E", 1, {"rank": 6, "u_max": 2}, "rank"),
+        ],
+    )
+    def test_bool_or_non_int_bound_raises(self, delta, s, bounds, name, bound):
+        with pytest.raises(ValueError) as info:
+            sweep_types(delta, s, **{**bounds, name: bound})
+        assert str(info.value).endswith(f": {name} must be an integer, got {bound!r}")
 
 
 class TestMembershipCharacterizations:
