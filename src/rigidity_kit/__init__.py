@@ -8,10 +8,7 @@ dimensions of the single-orbit families.
 
 from .euclid import (
     EuclidData,
-    RemainderRangeReport,
-    fib_decompose,
     rem,
-    rem_range_check,
     weight_sequence,
     weighted_fibonacci,
 )
@@ -35,7 +32,6 @@ from .quiver import (
     hammock_minus,
     hammock_plus,
     omega,
-    omega_inverse,
     orbit_quiver_dot,
     orbit_reps,
     phi,
@@ -59,7 +55,6 @@ __all__ = [
     "Diagram",
     "EuclidData",
     "OrthogonalityCertificate",
-    "RemainderRangeReport",
     "RigdimFormula",
     "RigdimVerification",
     "RigidityReport",
@@ -68,7 +63,6 @@ __all__ = [
     "Vertex",
     "agreement",
     "endpoint_scan",
-    "fib_decompose",
     "group_generator",
     "group_member",
     "hammock_dot",
@@ -76,7 +70,6 @@ __all__ = [
     "hammock_plus",
     "is_maximal_orthogonal",
     "omega",
-    "omega_inverse",
     "omega_period",
     "orbit_quiver_dot",
     "orbit_reps",
@@ -84,7 +77,6 @@ __all__ = [
     "rd_closed",
     "rd_oracle",
     "rem",
-    "rem_range_check",
     "rigdim_closed",
     "rigdim_verify",
     "se_oracle",

@@ -116,7 +116,7 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
     if type(r) is not int or r < 0:
         raise ValueError(f"orthogonality degree must be a non-negative int, got {r!r}")
     diagram = atype.diagram
-    diagram.check_label(v.t)
+    diagram.check_vertex(v)
     covers = _orbit_covers(atype)
     period, width = atype.period, len(diagram.labels)
     size = width * period

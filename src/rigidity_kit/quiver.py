@@ -14,9 +14,9 @@ which holds that cache.  The lanes are read by label for the oracle and
 (``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
 since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
 depends on the type, composed on the phi table; it keeps the last type alone.
-Labels are checked where they enter, by ``Diagram.check_label``, not on
-every step; the hammock caches key on the label's type too, so a bool or
-float equal to a label meets that check.
+Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
+by ``Diagram.check_label``), not on every step; the hammock caches key on
+the label's type too, so a bool or float equal to a label meets that check.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -48,7 +48,6 @@ __all__ = [
     "hammock_minus",
     "hammock_plus",
     "omega",
-    "omega_inverse",
     "orbit_offsets",
     "orbit_quiver_dot",
     "orbit_reps",
@@ -146,6 +145,12 @@ class Diagram:
         if type(t) not in (int, str) or t not in _structure(self.family, self.rank)[1]:
             raise ValueError(f"label {t!r} is not a vertex of {self.family}{self.rank}")
 
+    def check_vertex(self, v: Vertex) -> None:
+        """Raise ``ValueError`` unless v's label passes ``check_label`` and its x is an int."""
+        self.check_label(v.t)
+        if type(v.x) is not int:
+            raise ValueError(f"slice coordinate must be an integer, got {v.x!r}")
+
 
 @lru_cache(maxsize=None)
 def _structure(family: str, rank: int):
@@ -228,15 +233,6 @@ def omega(diagram: Diagram, v: Vertex) -> Vertex:
         diagram.check_label(v.t)
     dx, t = step
     return Vertex(v.x + dx, t)
-
-
-def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
-    """Inverse of ``omega``: it maps (x, t) to (x + dx, t'), so undo that."""
-    diagram.check_label(v.t)
-    for t, (dx, image) in _omega_steps(diagram.family, diagram.rank).items():
-        if image == v.t:
-            return Vertex(v.x - dx, t)
-    raise AssertionError("omega permutes the labels")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -352,7 +348,7 @@ def _phi_steps(family: str, rank: int, s: int) -> dict[Label, tuple[int, Label]]
 def phi(atype: AlgebraType, v: Vertex) -> Vertex:
     """The finite twist entering the group generator; identity when s == 1."""
     diagram = atype.diagram
-    diagram.check_label(v.t)
+    diagram.check_vertex(v)
     dx, t = _phi_steps(diagram.family, diagram.rank, atype.s)[v.t]
     return Vertex(v.x + dx, t)
 
@@ -365,7 +361,7 @@ def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
 
 def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     """Orbit representatives: the orbit of v is their translates by period-multiples."""
-    atype.diagram.check_label(v.t)
+    atype.diagram.check_vertex(v)
     return tuple(Vertex(v.x + dx, t) for t, dx in orbit_offsets(atype)[v.t])
 
 
@@ -406,8 +402,8 @@ def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
 
     Applies ``group_generator`` and reads no orbit table: the tests' reference for them.
     """
-    for t in (v.t, w.t):
-        atype.diagram.check_label(t)
+    for u in (v, w):
+        atype.diagram.check_vertex(u)
     period = atype.period
     reps = [v]
     for _ in range(atype.s - 1):
@@ -499,14 +495,14 @@ def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
     """Support of stable Hom(-, v), from ``hammock_columns`` of its label."""
-    diagram.check_label(v.t)
+    diagram.check_vertex(v)
     columns = hammock_columns(diagram, v.t)
     return frozenset(Vertex(v.x + dx, c) for c, dxs in columns.items() for dx in dxs)
 
 
 def hammock_plus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
     """Support of stable Hom(v, -): cell v.t of ``_knit_lanes``, read as its forward hammock."""
-    diagram.check_label(v.t)
+    diagram.check_vertex(v)
     labels = diagram.labels
     n = len(labels)
     row = _knit_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
@@ -551,6 +547,7 @@ def hammock_dot(diagram: Diagram, base: Vertex, members: frozenset[Vertex]) -> s
     Every vertex of the covered window becomes a node; hammock members are
     filled, the base vertex is double-circled.
     """
+    diagram.check_vertex(base)
     xs = [v.x for v in members] + [base.x]
     lo, hi = min(xs), max(xs)
     window = [Vertex(x, t) for x in range(lo, hi + 1) for t in diagram.labels]
@@ -568,7 +565,7 @@ def orbit_quiver_dot(atype: AlgebraType, highlight: Vertex | None = None) -> str
     """Render the orbit quiver ZD/G as a DOT digraph, one node per orbit."""
     diagram = atype.diagram
     if highlight is not None:
-        diagram.check_label(highlight.t)
+        diagram.check_vertex(highlight)
     nodes = sorted(
         {
             canonical_rep(atype, Vertex(x, t))

@@ -317,14 +317,14 @@ def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    atype.diagram.check_label(v.t)
+    atype.diagram.check_vertex(v)
     walk = _omega_walk(atype, v, hammock_columns(atype.diagram, v.t))
     return tuple(i for i, hit in islice(walk, horizon) if hit)
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
     """Smallest p >= 1 with omega^p(v) in the orbit of v: the walk's first return to v."""
-    atype.diagram.check_label(v.t)
+    atype.diagram.check_vertex(v)
     return _first_hit(atype, v, {v.t: (0,)}, "omega orbit of {} did not close")
 
 
@@ -336,7 +336,7 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     most the omega period of v, because v lies in its own hammock; a walk
     past the cap of ``_first_hit`` raises ``RuntimeError``.
     """
-    atype.diagram.check_label(v.t)
+    atype.diagram.check_vertex(v)
     i = _first_hit(
         atype, v, hammock_columns(atype.diagram, v.t), "omega walk of {} met no self-extension"
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -9,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_kit import (
-    fib_decompose,
-    rem,
-    rem_range_check,
-    weight_sequence,
-    weighted_fibonacci,
-)
+from rigidity_kit import EuclidData, rem, weight_sequence, weighted_fibonacci
 
 
 class TestWeightedFibonacci:
@@ -142,6 +137,112 @@ def _decompositions(data, l, r):
             yield lam
 
 
+def fib_decompose(r: int, data: EuclidData, l: int) -> tuple[int, ...]:
+    """Greedy decomposition ``r = sum(lam[i] * fb_at(i))`` over ``i = 0..l-1``.
+
+    Coefficients satisfy ``0 <= lam[i] <= k[i]`` with ``lam[0] > 0``; the
+    greedy choice (largest index first, never exhausting the remainder)
+    makes the result deterministic.
+    """
+    if not 1 <= l <= data.length:
+        raise ValueError(f"index l={l} out of range [1, {data.length}]")
+    if not 0 < r <= data.fb_at(l):
+        raise ValueError(f"r={r} out of range (0, {data.fb_at(l)}]")
+    lam = [0] * l
+    rest = r
+    for i in range(l, 1, -1):
+        base = data.fb_at(i - 1)
+        p = min(rest // base, data.k[i - 1])
+        if p > 0 and rest == p * base:
+            p -= 1
+        lam[i - 1] = p
+        rest -= p * base
+    lam[0] = rest
+    if not 0 < lam[0] <= data.k[0]:
+        raise AssertionError(f"greedy decomposition of {r} escaped its bounds: {lam}")
+    return tuple(lam)
+
+
+@dataclass(frozen=True)
+class RemainderRangeReport:
+    """Outcome of the remainder-range predicates for one admissible ``(l, r)``.
+
+    ``lower_ok`` / ``upper_ok`` are the two inequalities ``<r*m>_n >= s_l`` and
+    ``<(r-1)*m>_n <= n - s_l``.  The ``*_tight`` flags record whether equality
+    actually holds, the ``*_predicted`` flags whether the characterization of
+    the equality case says it should; ``lower_sharp``/``upper_sharp`` assert
+    the two agree.
+    """
+
+    l: int
+    r: int
+    rm: int
+    rm_prev: int
+    lower_ok: bool
+    upper_ok: bool
+    lower_tight: bool
+    upper_tight: bool
+    lower_tight_predicted: bool
+    upper_tight_predicted: bool
+
+    @property
+    def lower_sharp(self) -> bool:
+        return self.lower_tight == self.lower_tight_predicted
+
+    @property
+    def upper_sharp(self) -> bool:
+        return self.upper_tight == self.upper_tight_predicted
+
+    @property
+    def all_ok(self) -> bool:
+        return self.lower_ok and self.upper_ok and self.lower_sharp and self.upper_sharp
+
+
+def rem_range_check(data: EuclidData, l: int, r: int) -> RemainderRangeReport:
+    """Evaluate the remainder-range inequalities and equality characterizations.
+
+    Admissible inputs: ``0 < l <= length`` and ``0 < r <= fb_at(l)`` for odd
+    ``l < length``, ``0 < r < fb_at(l)`` for even ``l`` or ``l == length``.
+    Used by the property-test suite only.
+    """
+    L = data.length
+    if not 0 < l <= L:
+        raise ValueError(f"index l={l} out of range [1, {L}]")
+    closed = l % 2 == 1 and l < L
+    limit = data.fb_at(l)
+    if not (0 < r <= limit if closed else 0 < r < limit):
+        bound = f"(0, {limit}]" if closed else f"(0, {limit})"
+        raise ValueError(f"r={r} out of admissible range {bound} for l={l}")
+
+    n = data.n
+    s_l = data.s_at(l)
+    rm = rem(r * data.m, n)
+    rm_prev = rem((r - 1) * data.m, n)
+    fb_top = data.fb_at(L)
+    fb_sub = data.fb_at(L - 1)
+    d_even = L % 2 == 1  # length == d + 1
+
+    if l % 2 == 1:
+        lower_pred = r == data.fb_at(l - 1)
+        upper_pred = d_even and l == L and r == fb_top - fb_sub + 1
+    else:
+        lower_pred = (not d_even) and l == L and r == fb_top - fb_sub
+        upper_pred = r == data.fb_at(l - 1) + 1
+
+    return RemainderRangeReport(
+        l=l,
+        r=r,
+        rm=rm,
+        rm_prev=rm_prev,
+        lower_ok=rm >= s_l,
+        upper_ok=rm_prev <= n - s_l,
+        lower_tight=rm == s_l,
+        upper_tight=rm_prev == n - s_l,
+        lower_tight_predicted=lower_pred,
+        upper_tight_predicted=upper_pred,
+    )
+
+
 class TestFibDecompose:
     def test_worked_examples(self):
         data = weight_sequence(9, 17)
@@ -229,5 +330,8 @@ class TestRemainderRange:
 def test_rem_mathematical_modulus():
     assert rem(-8, 17) == 9
     assert rem(17, 17) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive, got 0"):
         rem(3, 0)
+    for modulus in (True, 2.0):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            rem(5, modulus)

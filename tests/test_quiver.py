@@ -24,7 +24,6 @@ from rigidity_kit import (
     hammock_plus,
     is_maximal_orthogonal,
     omega,
-    omega_inverse,
     omega_period,
     orbit_quiver_dot,
     orbit_reps,
@@ -36,11 +35,21 @@ from rigidity_kit import (
     tau,
 )
 from rigidity_kit.quiver import (
+    _omega_steps,
     _structure,
     hammock_columns,
     hammock_incidence,
     orbit_residues,
 )
+
+
+def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
+    """Inverse of ``omega``: it maps (x, t) to (x + dx, t'), so undo that."""
+    diagram.check_label(v.t)
+    for t, (dx, image) in _omega_steps(diagram.family, diagram.rank).items():
+        if image == v.t:
+            return Vertex(v.x - dx, t)
+    raise AssertionError("omega permutes the labels")  # pragma: no cover
 
 
 class TestVertex:
@@ -267,7 +276,6 @@ class TestTables:
         d, v = at.diagram, Vertex(0, t)
         calls = [
             lambda: omega(d, v),
-            lambda: omega_inverse(d, v),
             lambda: phi(at, v),
             lambda: phi(twisted, v),
             lambda: rd_oracle(at, v),
@@ -309,6 +317,32 @@ class TestTables:
             call(int(t))
             with pytest.raises(ValueError) as info:
                 call(t)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("x", [2.5, True, "0"], ids=repr)
+    def test_non_int_slice_coordinate_raises_at_every_entry(self, x):
+        at = AlgebraType.create("A", 5, 2, 1)
+        d, v, good = at.diagram, Vertex(x, 1), Vertex(0, 1)
+        calls = [
+            lambda: rd_oracle(at, v),
+            lambda: se_oracle(at, v, 5),
+            lambda: omega_period(at, v),
+            lambda: is_maximal_orthogonal(at, v, 3),
+            lambda: phi(at, v),
+            lambda: group_generator(at, v),
+            lambda: orbit_reps(at, v),
+            lambda: orbit_residues(at, v),
+            lambda: group_member(at, v, good),
+            lambda: group_member(at, good, v),
+            lambda: hammock_minus(d, v),
+            lambda: hammock_plus(d, v),
+            lambda: hammock_dot(d, v, hammock_minus(d, good)),
+            lambda: orbit_quiver_dot(at, highlight=v),
+        ]
+        message = f"slice coordinate must be an integer, got {x!r}"
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
             assert str(info.value) == message
 
     @pytest.mark.parametrize(
