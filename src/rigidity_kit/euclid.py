@@ -5,9 +5,10 @@ the data the closed-form rigidity-degree formulas read.
 
 Everything here is pure and operates on plain Python integers, so all
 results are exact for arbitrarily large inputs and safe to use from any
-number of threads.  There is one Euclidean division per algebra type,
-memoised: ``weight_sequence`` keeps its last result, so evaluating every
-label of one type divides once.
+number of threads.  There is one Euclidean division per algebra type:
+``weight_sequence`` keeps its last result, and ``rd_closed`` reads it into
+a plan it keeps for the last type, so evaluating every label of one type
+divides once.
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ class Vertex:
 
     ``__init__`` is written out, storing each field through its slot
     descriptor: the generated frozen ``__init__`` makes one
-    ``object.__setattr__`` call per field, and every ``omega`` step and
-    every ``rd_closed`` call builds a vertex.
+    ``object.__setattr__`` call per field, and every ``omega`` step builds
+    a vertex.
     """
 
     x: int
@@ -545,9 +545,11 @@ def hammock_dot(diagram: Diagram, base: Vertex, members: frozenset[Vertex]) -> s
     """Render the slices spanned by the hammock ``members`` of ``base`` as a DOT digraph.
 
     Every vertex of the covered window becomes a node; hammock members are
-    filled, the base vertex is double-circled.
+    filled, the base vertex is double-circled.  The base and every member
+    pass ``Diagram.check_vertex``.
     """
-    diagram.check_vertex(base)
+    for v in (base, *members):
+        diagram.check_vertex(v)
     xs = [v.x for v in members] + [base.x]
     lo, hi = min(xs), max(xs)
     window = [Vertex(x, t) for x in range(lo, hi + 1) for t in diagram.labels]

@@ -4,8 +4,13 @@ Two independent computations of the rigidity degree of the module sitting
 at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
-  weight/Fibonacci sequences of one Euclidean division per type, memoised,
-  so the labels of one type share it;
+  weight/Fibonacci sequences of one Euclidean division per type.  It reads
+  a plan memoised for the last type: for type A and the chain labels of
+  type D, the staircase of that division, where ``bisect`` places a label
+  among the remainders and each row's result is formatted once, when a
+  label first lands in it; the D spine, D4 with twist order 3 and type E
+  are evaluated per call.  The report's vertex comes from a per-diagram
+  table of origin vertices, whose lookup is also the label check;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -23,16 +28,17 @@ compares the engines over them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import count, islice
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .euclid import weight_sequence
+from .euclid import EuclidData, weight_sequence
 from .quiver import (
-    SPINE_MINUS,
-    SPINE_PLUS,
     AlgebraType,
+    Diagram,
     Label,
     Vertex,
     hammock_columns,
@@ -93,57 +99,69 @@ _set_report_branch = RigidityReport.branch.__set__
 _set_report_witness = RigidityReport.witness.__set__
 
 
-def _fib_interval_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
-    """Shared interval evaluator: locate t among the remainders of (m_pair, n_pair).
+class _Staircase:
+    """The closed form of one type of family A, or of family D with twist order 1 or 2.
 
-    Rows: open intervals (s_{l+1}, s_l) for even l or l == length give
+    Its labels read the rows of the type's one division (m_pair, n_pair):
+    open intervals (s_{l+1}, s_l) for even l or l == length give
     scale*Fb_l - 1; closed intervals [s_{l+1}, s_l] for odd l < length give
     scale*Fb_l; t == s_length with odd length gives scale*(Fb_length -
-    Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.
+    Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.  A label
+    is placed among the remainders by ``bisect``.  Its result depends only
+    on the interval and on whether t is the interval's remainder, so each
+    such cell is formatted, with ``prefix``, when a label first lands in it,
+    and is shared by every later one.  A label t with 2t > ``mirror`` reads
+    the row of mirror - t, in a cell of its own marked ``+sym`` (type A,
+    mirror m; type D passes 0).  A D fork tip reads the spine formula per
+    call.  Threads that fill one cell at once write equal tuples.
     """
-    if t >= n_pair:
-        return 0, "zero(l=-1)"
-    data = weight_sequence(m_pair, n_pair)
-    s, fb = data.s, data.fb  # s[j] is s_{j+1} and fb[l + 1] is Fb_l
-    L = len(data.k)
-    j = 0
-    while s[j] > t:
-        j += 1
-    # now s_{j+1} <= t < s_j
-    if t == s[j]:
-        jj = j + 1
-        if jj % 2 == 1:
-            if jj < L:
-                return scale * fb[jj + 1], f"closed(l={jj})"
-            return scale * (fb[L + 1] - fb[L]), f"tail(l={L})"
-        return scale * fb[jj], f"closed(l={jj - 1})"
-    if j % 2 == 1 and j < L:
-        return scale * fb[j + 1], f"closed(l={j})"
-    return scale * fb[j + 1] - 1, f"open(l={j})"
+
+    __slots__ = ("data", "scale", "prefix", "mirror", "s", "ends", "cells")
+
+    def __init__(
+        self, m_pair: int, n_pair: int, scale: int, prefix: str, mirror: int, s: int
+    ) -> None:
+        self.data = data = weight_sequence(m_pair, n_pair)
+        self.scale, self.prefix, self.mirror, self.s = scale, prefix, mirror, s
+        self.ends = data.s[::-1] + (n_pair,)  # ascending: ends[i] is s_{L+1-i} for i <= L
+        self.cells = [None] * (4 * len(self.ends))
+
+    def lookup(self, t: Label) -> tuple[int, str]:
+        """(rd, branch) of the vertex (0, t); t must be a label of the type."""
+        if type(t) is str:
+            return _rd_closed_d_spine(self.data, self.s)
+        sym = 0 < self.mirror < 2 * t
+        if sym:
+            t = self.mirror - t
+        ends = self.ends
+        i = bisect_right(ends, t) - 1
+        on = ends[i] == t
+        cell = self.cells[4 * i + 2 * on + sym]
+        if cell is not None:
+            return cell
+        # the row s_{j+1} <= t < s_j, with j == -1 the fringe; t == s_{j+1} with
+        # j even closes the interval of l = j + 1, the last one a tail
+        fb, L, j = self.data.fb, len(ends) - 2, len(ends) - 2 - i  # fb[l + 1] is Fb_l
+        l = j + (on and j % 2 == 0)
+        if j < 0:
+            rd, branch = 0, "zero(l=-1)"
+        elif l % 2 and l < L:
+            rd, branch = self.scale * fb[l + 1], f"closed(l={l})"
+        elif l > j:
+            rd, branch = self.scale * (fb[L + 1] - fb[L]), f"tail(l={L})"
+        else:
+            rd, branch = self.scale * fb[j + 1] - 1, f"open(l={j})"
+        cell = self.cells[4 * i + 2 * on + sym] = (rd, self.prefix + branch + ("+sym" if sym else ""))
+        return cell
 
 
-def _rd_closed_a(atype: AlgebraType, t: int) -> tuple[int, str]:
-    m = atype.diagram.rank + 1
-    suffix = ""
-    if 2 * t > m:
-        t = m - t
-        suffix = "+sym"
-    if atype.s == 1:
-        rd, branch = _fib_interval_rd(m, atype.n, t, scale=2)
-    else:
-        shift = atype.n - m // 2  # exponent of the tau^shift.omega generator
-        rd, branch = _fib_interval_rd(shift + m, 2 * shift + m, t, scale=1)
-    return rd, f"A.s{atype.s}:{branch}{suffix}"
-
-
-def _rd_closed_d_spine(atype: AlgebraType) -> tuple[int, str]:
-    m = atype.diagram.rank - 1
-    n = atype.n
+def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
+    """Either fork tip of type D, from the division (m, n) of its chain labels."""
+    m, n = data.m, data.n
     if m >= n:
         return 0, "D:spine(m>=n)"
-    data = weight_sequence(m, n)
     fb1 = data.fb_at(1)
-    parity = (fb1 + n + atype.s) % 2
+    parity = (fb1 + n + s) % 2
     if n % m == 0:
         rd = fb1 - 1 if parity == 1 else 2 * fb1 - 1
         return rd, f"D:spine(div,par={parity})"
@@ -151,26 +169,15 @@ def _rd_closed_d_spine(atype: AlgebraType) -> tuple[int, str]:
     return rd, f"D:spine(nondiv,par={parity})"
 
 
-def _rd_closed_d4_triality(atype: AlgebraType, t) -> tuple[int, str]:
-    data = weight_sequence(3, atype.n)
-    fb1 = data.fb_at(1)
-    res = int(atype.u) % 3
+def _rd_closed_d4_triality(n: int, u: int, t: Label) -> tuple[int, str]:
+    fb1 = weight_sequence(3, n).fb_at(1)
+    res = u % 3
     if t == 2:
         if res == 0:
             return fb1 - 1, "D4:t=2(div)"
         return fb1, "D4:t=2(nondiv)"
-    rd = {0: 3 * fb1 - 1, 1: fb1, 2: 2 * fb1}[res]
+    rd = (3 * fb1 - 1, fb1, 2 * fb1)[res]
     return rd, f"D4:outer(u%3={res})"
-
-
-def _rd_closed_d(atype: AlgebraType, t) -> tuple[int, str]:
-    if atype.s == 3:
-        return _rd_closed_d4_triality(atype, t)
-    if t in (SPINE_PLUS, SPINE_MINUS):
-        return _rd_closed_d_spine(atype)
-    m = atype.diagram.rank - 1
-    rd, branch = _fib_interval_rd(m, atype.n, t, scale=1)
-    return rd, f"D:{branch}"
 
 
 # Table cells are coefficient vectors (c0, c1, c2, c3) encoding
@@ -226,30 +233,20 @@ _E6_BLOCK_B = {
 }
 
 
-def _e_row(atype: AlgebraType, t: int) -> tuple[tuple[int, ...], str]:
-    rank = atype.diagram.rank
-    u = int(atype.u)
-    if rank == 7:
-        res = u % 9
-        key = t if t in (1, 2, 6, 7) else 3
-        return _E7_ROWS[key][res], f"E7:t={t},u%9={res}"
-    if rank == 8:
-        res = u % 15
-        key = t if t in (1, 2, 7, 8) else 3
-        return _E8_ROWS[key][res], f"E8:t={t},u%15={res}"
-    res = u % 6
-    if t in (3, 6):
-        return _E6_SHARED_ROWS[t][res], f"E6.s{atype.s}:t={t},u%6={res}"
-    first_block = (u // 6) % 2 == (0 if atype.s == 1 else 1)
-    table = _E6_BLOCK_A if first_block else _E6_BLOCK_B
-    key = 1 if t in (1, 5) else 2
-    blk = "A" if first_block else "B"
-    return table[key][res], f"E6.s{atype.s}:t={t},u%6={res},blk={blk}"
-
-
-def _rd_closed_e(atype: AlgebraType, t: int) -> tuple[int, str]:
-    coeffs, branch = _e_row(atype, t)
-    data = weight_sequence(atype.diagram.h_star, atype.n)
+def _rd_closed_e(rank: int, s: int, u: int, h_star: int, n: int, t: int) -> tuple[int, str]:
+    res = u % h_star  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
+    if rank > 6:
+        key = t if t in (1, 2, rank - 1, rank) else 3
+        coeffs = (_E7_ROWS if rank == 7 else _E8_ROWS)[key][res]
+        branch = f"E{rank}:t={t},u%{h_star}={res}"
+    elif t in (3, 6):
+        coeffs, branch = _E6_SHARED_ROWS[t][res], f"E6.s{s}:t={t},u%6={res}"
+    else:
+        first_block = (u // 6) % 2 == (0 if s == 1 else 1)
+        table = _E6_BLOCK_A if first_block else _E6_BLOCK_B
+        coeffs = table[1 if t in (1, 5) else 2][res]
+        branch = f"E6.s{s}:t={t},u%6={res},blk={'A' if first_block else 'B'}"
+    data = weight_sequence(h_star, n)
     rd = coeffs[0]
     for i in (1, 2, 3):
         if coeffs[i]:
@@ -257,17 +254,54 @@ def _rd_closed_e(atype: AlgebraType, t: int) -> tuple[int, str]:
     return rd, branch
 
 
-def rd_closed(atype: AlgebraType, t) -> RigidityReport:
-    """Closed-form rigidity degree of the vertex (0, t)."""
-    atype.diagram.check_label(t)
-    family = atype.diagram.family
-    if family == "A":
-        rd, branch = _rd_closed_a(atype, t)
-    elif family == "D":
-        rd, branch = _rd_closed_d(atype, t)
+@lru_cache(maxsize=None)
+def _origin_vertices(family: str, rank: int) -> dict[Label, Vertex]:
+    """The vertex (0, t) of every label t of one diagram, built when ``rd_closed`` first
+    reads the diagram; a ``Vertex`` is frozen, so reports share them.  Never mutate it.
+    """
+    return {t: Vertex(0, t) for t in Diagram(family, rank).labels}
+
+
+# maxsize=1: callers evaluate the labels of one type in a row, as for weight_sequence.
+# Keyed on plain ints, since hashing an AlgebraType hashes its Fraction.
+@lru_cache(maxsize=1)
+def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable]:
+    """The closed form of one type: its origin vertices and its lookup t -> (rd, branch).
+
+    D4 with twist order 3 and type E are evaluated per call.
+    """
+    m = rank + 1  # type A
+    if family == "A" and s == 1:
+        lookup = _Staircase(m, n, 2, "A.s1:", m, s).lookup
+    elif family == "A":
+        shift = n - m // 2  # exponent of the tau^shift.omega generator
+        lookup = _Staircase(shift + m, 2 * shift + m, 1, "A.s2:", m, s).lookup
+    elif family == "D" and s < 3:
+        lookup = _Staircase(rank - 1, n, 1, "D:", 0, s).lookup
     else:
-        rd, branch = _rd_closed_e(atype, t)
-    return RigidityReport(atype, Vertex(0, t), rd, branch)
+        diagram = Diagram(family, rank)
+        u = n // diagram.m_delta  # integral for D4 with twist order 3 and for type E
+        if family == "D":
+            lookup = partial(_rd_closed_d4_triality, n, u)
+        else:
+            lookup = partial(_rd_closed_e, rank, s, u, diagram.h_star, n)
+    return _origin_vertices(family, rank), lookup
+
+
+def rd_closed(atype: AlgebraType, t) -> RigidityReport:
+    """Closed-form rigidity degree of the vertex (0, t).
+
+    Reads the plan of ``atype``, memoised for the last type: a label is
+    checked by its lookup in the plan's origin vertices, and on a miss
+    ``Diagram.check_label`` raises.
+    """
+    diagram = atype.diagram
+    vertices, lookup = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
+    vertex = vertices.get(t) if type(t) in (int, str) else None
+    if vertex is None:
+        diagram.check_label(t)
+    rd, branch = lookup(t)
+    return RigidityReport(atype, vertex, rd, branch)
 
 
 def _omega_walk(

@@ -346,6 +346,19 @@ class TestTables:
             assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "member,message",
+        [(Vertex(0.5, 1), "slice coordinate must be an integer, got 0.5"),
+         (Vertex(2, 9), "label 9 is not a vertex of A5")],
+        ids=["float-x", "unknown-label"],
+    )
+    def test_hammock_dot_checks_every_member(self, member, message):
+        # unchecked, a float x would reach range() and an unknown label would be drawn
+        d, base = Diagram("A", 5), Vertex(0, 1)
+        with pytest.raises(ValueError) as info:
+            hammock_dot(d, base, hammock_minus(d, base) | {member})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "family,rank",
         [("A", 1), ("A", 6), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("E", 8)],
     )

@@ -36,7 +36,7 @@ from rigidity_kit import (
     weight_sequence,
 )
 from rigidity_kit.quiver import orbit_offsets
-from rigidity_kit.rigidity import _fib_interval_rd
+from rigidity_kit.rigidity import _closed_plan, _Staircase
 from test_orthogonal import REFERENCE_TYPES
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
@@ -364,8 +364,13 @@ def test_closed_form_matches_oracle_on_random_types(at):
         assert rd_closed(at, t).rd == rd_oracle(at, Vertex(0, t)).rd, (at.describe(), t)
 
 
+def staircase_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
+    """The row lookup of a ``_Staircase`` on (m_pair, n_pair), without prefix or mirror."""
+    return _Staircase(m_pair, n_pair, scale, "", 0, 1).lookup(t)
+
+
 def interval_rd_by_definition(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
-    """The rows of ``_fib_interval_rd``'s docstring, read through ``s_at``/``fb_at``.
+    """The rows of ``_Staircase``'s docstring, read through ``s_at``/``fb_at``.
 
     Every row is tried, and exactly one must hold t.
     """
@@ -393,8 +398,10 @@ def test_interval_scan_matches_definition_on_random_pairs():
         n = rng.randint(1, 500)
         m = rng.choice([rng.randint(1, n), rng.randint(n, 3 * n), n * rng.randint(1, 4)])
         scale = rng.choice([1, 2])
+        # one staircase for every t, so later labels read the cells earlier ones filled
+        staircase = _Staircase(m, n, scale, "", 0, 1)
         for t in range(1, n + 3):
-            got = _fib_interval_rd(m, n, t, scale)
+            got = staircase.lookup(t)
             assert got == interval_rd_by_definition(m, n, t, scale), (m, n, t, scale)
 
 
@@ -406,7 +413,7 @@ def test_interval_scan_matches_definition(m, n, data):
     near_end = st.builds(lambda e, d: max(1, e + d), st.sampled_from(ends), st.integers(-1, 1))
     t = data.draw(st.one_of(st.integers(1, n + 2), near_end))
     scale = data.draw(st.sampled_from([1, 2]))
-    assert _fib_interval_rd(m, n, t, scale) == interval_rd_by_definition(m, n, t, scale)
+    assert staircase_rd(m, n, t, scale) == interval_rd_by_definition(m, n, t, scale)
 
 
 # every family and twist order, fractional type D included, at u <= 10**6
@@ -450,6 +457,49 @@ def test_weight_sequence_memo_is_invisible(at):
             evicted.append(rd_closed(at, t))
         assert evicted == cold
     assert warm == cold
+
+
+@given(st.lists(large_u_types, min_size=2, max_size=3, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_closed_plan_memo_is_invisible(types):
+    # cold: every label from a new plan, so no label reads a cell another filled
+    cold = {}
+    for at in types:
+        reports = []
+        for t in at.diagram.labels:
+            _closed_plan.cache_clear()
+            reports.append(rd_closed(at, t))
+        cold[at] = reports
+    for at in types:
+        # warm: one type's labels in a row read one plan
+        _closed_plan.cache_clear()
+        assert [rd_closed(at, t) for t in at.diagram.labels] == cold[at]
+        assert _closed_plan.cache_info().misses == 1
+    # evicted: alternate the types label by label, so each call replaces the plan
+    evicted = {at: [] for at in types}
+    for k in range(max(len(at.diagram.labels) for at in types)):
+        for at in types:
+            if k < len(at.diagram.labels):
+                evicted[at].append(rd_closed(at, at.diagram.labels[k]))
+    assert evicted == cold
+
+
+@pytest.mark.parametrize(
+    "at",
+    [AlgebraType.create("A", 5, 2, 1), AlgebraType.create("A", 5, 2, 2),
+     AlgebraType.create("D", 5, 2, 1), AlgebraType.create("D", 4, 2, 3),
+     AlgebraType.create("E", 6, 2, 2)],
+    ids=lambda at: at.describe(),
+)
+def test_rd_closed_rejects_non_labels_with_check_label_message(at):
+    # True and 1.0 equal and hash like the label 1, which warms the plan first
+    d = at.diagram
+    rd_closed(at, 1)
+    bad = [True, 1.0, [1], 9] + ([] if d.family == "D" else ["m+"])
+    for t in bad:
+        with pytest.raises(ValueError) as info:
+            rd_closed(at, t)
+        assert str(info.value) == f"label {t!r} is not a vertex of {d.family}{d.rank}"
 
 
 # every family and twist order, fractional type D included, at u small
