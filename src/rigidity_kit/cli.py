@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input (type spec,
 sweep bounds) or an ``--output`` path that cannot be written.
 Output is deterministic for identical configurations.  ``verify`` takes
 its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
-in one process, through ``rigidity.agreement``.
+in one process, through ``rigidity.agreement``.  ``main`` builds its parser
+once per process, on its first call, and reuses it; ``build_parser``
+returns a fresh one on every call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .orthogonal import rigdim_closed, rigdim_verify
 from .quiver import (
@@ -38,13 +41,14 @@ from .rigidity import RigidityReport, agreement, rd_closed, rd_oracle, sweep_typ
 
 __all__ = ["build_parser", "main", "parse_label", "parse_u"]
 
-# a natural number or a fraction with a nonzero denominator
-_U_PATTERN = re.compile(r"^\d+(/0*[1-9]\d*)?$")
+# matched in full, in ASCII digits: a natural number or a fraction with a nonzero denominator
+_U_PATTERN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
+_LABEL_PATTERN = re.compile(r"-?[0-9]+")  # check_label rejects a negative label
 
 
 def parse_u(text: str) -> Fraction:
     """Exact rational parameter; floats are rejected on purpose."""
-    if not _U_PATTERN.match(text):
+    if not _U_PATTERN.fullmatch(text):
         raise ValueError(f"u must be an exact rational like '17/8', got {text!r}")
     value = Fraction(text)
     if value <= 0:
@@ -57,10 +61,9 @@ def parse_label(text: str):
         return SPINE_PLUS
     if text in (SPINE_MINUS, "m"):
         return SPINE_MINUS
-    try:
-        return int(text)
-    except ValueError:
+    if not _LABEL_PATTERN.fullmatch(text):
         raise ValueError(f"label must be an integer, 'm+'/'p' or 'm-'/'m', got {text!r}")
+    return int(text)
 
 
 def make_type(args: argparse.Namespace) -> AlgebraType:
@@ -352,9 +355,13 @@ def cmd_hammock(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "rd": cmd_rd,
         "table": cmd_table,

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from rigidity_kit.cli import main, parse_label, parse_u
+from rigidity_kit import cli
+from rigidity_kit.cli import build_parser, main, parse_label, parse_u
 
 
 def run_cli(capsys, *argv):
@@ -21,18 +22,43 @@ class TestParsing:
         assert parse_u("17/8") == 17 / 8 or str(parse_u("17/8")) == "17/8"
         assert str(parse_u("5")) == "5"
 
-    @pytest.mark.parametrize("bad", ["2.5", "-3", "1e3", "17/0", "", "0"])
+    @pytest.mark.parametrize(
+        "bad", ["2.5", "-3", "1e3", "17/0", "", "0", "5\n", "\u0665", "5 ", " 5", "+5", "1_0",
+                "5/\u0663", "17/8\n"],
+    )
     def test_rejects_non_rational(self, bad):
         with pytest.raises(ValueError):
             parse_u(bad)
 
     def test_labels(self):
         assert parse_label("3") == 3
+        assert parse_label("10") == 10
+        assert parse_label("-1") == -1  # left for check_label to reject with its message
         assert parse_label("m+") == "m+"
         assert parse_label("p") == "m+"
         assert parse_label("m") == "m-"
         with pytest.raises(ValueError):
             parse_label("q")
+
+    @pytest.mark.parametrize(
+        "bad", ["1_0", " 3", "+3", "\u0663", "3\n", "3 ", "", "-", "--1", "3.0"]
+    )
+    def test_rejects_loose_integer_labels(self, bad):
+        with pytest.raises(ValueError) as info:
+            parse_label(bad)
+        assert str(info.value) == f"label must be an integer, 'm+'/'p' or 'm-'/'m', got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [("--t", "1_0", "label must be an integer, 'm+'/'p' or 'm-'/'m', got '1_0'"),
+         ("--t", "-1", "label -1 is not a vertex of A3"),
+         ("--u", "5\n", "u must be an exact rational like '17/8', got '5\\n'")],
+        ids=["underscore-label", "negative-label", "newline-u"],
+    )
+    def test_loose_number_exits_2(self, capsys, option, value, message):
+        argv = {"--delta": "A", "--rank": "3", "--u": "1", "--t": "1", option: value}
+        status, out, err = run_cli(capsys, "rd", *[w for pair in argv.items() for w in pair])
+        assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestRdCommand:
@@ -501,3 +527,93 @@ class TestGoldenStdout:
         status, out, _ = run_cli(capsys, "rigdim", *RIGDIM_CASES[case], "--format", fmt)
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == RIGDIM_STDOUT_SHA256[key]
+
+
+# the README's CLI commands and the sha256 of their stdout
+README_STDOUT_SHA256 = {
+    "rd --delta A --rank 8 --u 17/8 --s 1 --t 1 --format json":
+        "81fefcd2aa2eb2bbcaa93be6302e28073642359ccb9ff339507a67837c5e9404",
+    "table --delta D --rank 6 --u 2 --s 2 --format csv":
+        "52a03f0be3597a07a8a131dd1c9f990c0573c5e514258985b1dd27ec618b8609",
+    "verify --delta A --s 1 --rank-max 10 --n-max 30":
+        "a422ff9c752d1585e1a979a9df151304028c5e4967492ef90e51acedbf494e8d",
+    "verify --delta D --s 1 --fractional --rank-max 12 --u-max 5":
+        "8aceb89862b96bc1ffe539779e7e320af6ae88b0ab02f3209cf2f042893d8287",
+    "verify --delta E --rank 7 --s 1 --u-max 10":
+        "2c0936ca669c691983b5d7fd7b2796a48ac0a2120db18836ace2c05be03f9089",
+    "rigdim --delta E --rank 7 --u 5 --s 1":
+        "521449967ce3f09e48d8f059088490f2c0740d2e65d908ecfa9db8765e41c4f8",
+    "hammock --delta D --rank 6 --u 1 --s 1 --t m+ --format dot":
+        "a08badf706119f5b67105f3abd18c3ea5a91805ecb444b8c3e7142e3c928f215",
+    "hammock --delta A --rank 3 --u 2 --s 1 --t 1 --orbit --format dot":
+        "b1e0e3a39ec42be4d4ab626541b65e83ee7e5c2057e3483d306fac780c91f000",
+}
+MISSING_DELTA = "rd --rank 3 --u 1 --t 1"  # argparse exits 2
+NON_POSITIVE_U = "rd --delta A --rank 3 --u 0 --t 1"  # ValueError, exit 2
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; every output must be as from a fresh one."""
+
+    @pytest.fixture
+    def fresh_memo(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def run_pass(capsys, output):
+        readme = list(README_STDOUT_SHA256)
+        written = f"{readme[0]} --output {output}"
+        # the error and --output commands interleaved with the README ones
+        commands = readme[:2] + [MISSING_DELTA] + readme[2:4] + [NON_POSITIVE_U] + readme[4:6]
+        commands += [written] + readme[6:] + [MISSING_DELTA, NON_POSITIVE_U]
+        outcomes = {}
+        for command in commands:
+            try:
+                status = main(command.split())
+            except SystemExit as exc:
+                status = f"SystemExit({exc.code})"
+            captured = capsys.readouterr()
+            outcomes.setdefault(command, []).append((status, captured.out, captured.err))
+        outcomes[written].append(output.read_text(encoding="utf-8"))
+        output.unlink()
+        return outcomes
+
+    def test_second_pass_repeats_the_first(self, capsys, tmp_path, fresh_memo):
+        output = tmp_path / "rd.json"
+        first = self.run_pass(capsys, output)
+        assert self.run_pass(capsys, output) == first
+        for command, digest in README_STDOUT_SHA256.items():
+            (status, out, err), = first[command]
+            assert (status, err) == (0, ""), command
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+        (status, out, err), text = first[f"{next(iter(README_STDOUT_SHA256))} --output {output}"]
+        assert (status, out, err) == (0, "", "")
+        assert hashlib.sha256(text.encode()).hexdigest() == next(iter(README_STDOUT_SHA256.values()))
+        status, out, err = first[MISSING_DELTA][0]
+        assert (status, out) == ("SystemExit(2)", "")
+        assert err.startswith("usage: rigidity-kit rd ")
+        assert err.endswith("error: the following arguments are required: --delta\n")
+        assert first[NON_POSITIVE_U][0] == (2, "", "error: u must be positive, got '0'\n")
+        assert first[MISSING_DELTA][1] == first[MISSING_DELTA][0]
+        assert first[NON_POSITIVE_U][1] == first[NON_POSITIVE_U][0]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch, fresh_memo):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(4):
+            assert main(NON_POSITIVE_U.split()) == 2
+            assert main(["rd", "--delta", "A", "--rank", "3", "--u", "1", "--t", "1"]) == 0
+            with pytest.raises(SystemExit):
+                main(MISSING_DELTA.split())
+        capsys.readouterr()
+        assert builds == [1]

@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import takewhile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_kit import (
     SPINE_MINUS,
@@ -458,6 +460,119 @@ class TestAlgebraTypeValidation:
         assert str(info.value) == message
 
 
+def reference_validate(diagram, s, u, n):
+    """``AlgebraType.__post_init__`` as written in ``Fraction`` arithmetic: the fields it keeps."""
+    fam, rank = diagram.family, diagram.rank
+    if type(s) is not int or s not in (1, 2, 3):
+        raise ValueError(f"twist order must be 1, 2 or 3, got {s!r}")
+    if not isinstance(u, Fraction):
+        raise ValueError(f"u must be a Fraction, got {u!r}")
+    if u <= 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if type(n) is not int:
+        raise ValueError(f"tau-exponent must be an integer, got {n!r}")
+    if n != u * diagram.m_delta or n < 1:
+        raise ValueError(f"tau-exponent {n} does not match u={u} for {fam}{rank}")
+    integral = u.denominator == 1
+    if fam == "A":
+        if s == 2:
+            if rank < 3 or rank % 2 == 0:
+                raise ValueError("twist order 2 in type A needs odd rank >= 3")
+            if not integral:
+                raise ValueError("twist order 2 in type A needs integral u")
+        elif s != 1:
+            raise ValueError("type A admits twist orders 1 and 2 only")
+    elif fam == "D":
+        if s == 3:
+            if rank != 4:
+                raise ValueError("twist order 3 happens for D4 only")
+            if not integral:
+                raise ValueError("twist order 3 needs integral u")
+        elif s == 2:
+            if not integral:
+                raise ValueError("twist order 2 in type D needs integral u")
+        elif not integral:
+            if u.denominator != 3 or rank % 3 != 0 or rank < 6:
+                raise ValueError(
+                    f"fractional type D parameters need u = v/3 with 3 not "
+                    f"dividing v and rank a multiple of 3 >= 6, got "
+                    f"u={u}, rank={rank}"
+                )
+    else:
+        if s == 2 and rank != 6:
+            raise ValueError("twist order 2 in type E happens for E6 only")
+        if s == 3:
+            raise ValueError("type E admits twist orders 1 and 2 only")
+        if not integral:
+            raise ValueError("type E needs integral u")
+    return diagram, s, u, n
+
+
+def reference_create(family, rank, u, s=1):
+    """``AlgebraType.create`` as written in ``Fraction`` arithmetic."""
+    diagram = Diagram(family, rank)
+    if type(u) not in (Fraction, int, str):
+        raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
+    frac = Fraction(u)
+    n = frac * diagram.m_delta
+    if n.denominator != 1:
+        raise ValueError(f"u={frac} gives non-integral tau-exponent for {family}{rank}")
+    return reference_validate(diagram, s, frac, int(n))
+
+
+def validation_outcome(build, *args):
+    """The fields, with their types, that ``build(*args)`` keeps, or its ``ValueError`` text."""
+    try:
+        got = build(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(got, AlgebraType):
+        got = (got.diagram, got.s, got.u, got.n)
+    return "ok", got, tuple(type(field) for field in got)
+
+
+# every family, valid and invalid ranks and twist orders, and u of every accepted
+# type: fractional, non-positive, and with a non-integral tau-exponent
+fractions = st.builds(Fraction, st.integers(-4, 60), st.integers(1, 13))
+u_values = st.one_of(
+    st.integers(-3, 60), fractions, fractions.map(str), st.integers(1, 60).map(str)
+)
+
+
+class TestIntegerValidationMatchesFractions:
+    @given(st.sampled_from("ADE"), st.integers(1, 13), u_values, st.integers(0, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_create(self, family, rank, u, s):
+        if family == "E":
+            rank = 6 + rank % 3
+        args = (family, rank, u, s)
+        assert validation_outcome(AlgebraType.create, *args) == validation_outcome(
+            reference_create, *args
+        )
+
+    @given(st.sampled_from("ADE"), st.integers(1, 13), fractions, st.integers(-3, 80),
+           st.integers(1, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_direct_constructor(self, family, rank, u, n, s):
+        diagram = Diagram(family, {"A": rank, "D": max(rank, 4), "E": 6 + rank % 3}[family])
+        assert validation_outcome(AlgebraType, diagram, s, u, n) == validation_outcome(
+            reference_validate, diagram, s, u, n
+        )
+
+    @pytest.mark.parametrize(
+        "u,n",
+        [(Fraction(0), 0), (Fraction(0), 5), (Fraction(-2), -10), (Fraction(-1, 3), 5),
+         (Fraction(2), 9), (Fraction(2), 11), (Fraction(5, 3), 9), (Fraction(7, 3), 35)],
+        ids=["zero", "zero-n5", "negative", "negative-fraction", "n-low", "n-high",
+             "fraction-n-low", "fraction-n-high"],
+    )
+    def test_direct_constructor_rejects_like_fractions(self, u, n):
+        diagram = Diagram("D", 6)  # m_delta = 9, so u = 2 needs n = 18 and u = 5/3 needs 15
+        outcome = validation_outcome(AlgebraType, diagram, 1, u, n)
+        assert outcome[0] == "error"
+        assert outcome == validation_outcome(reference_validate, diagram, 1, u, n)
+
+
 def a_rectangle(m: int, x: int, t: int) -> frozenset[Vertex]:
     """Closed-form backward hammock for type A: a (t) x (m-t) rectangle."""
     return frozenset(
@@ -642,7 +757,7 @@ def reference_knit_profile(family, rank, t0, forward):
 @pytest.fixture
 def cold_hammocks():
     """Empty every hammock cache before and after the test."""
-    caches = (quiver._knit_lanes, hammock_columns, hammock_incidence)
+    caches = (quiver._knit_lanes, quiver._hammock_columns, quiver._hammock_incidence)
     for cache in caches:
         cache.cache_clear()
     yield
