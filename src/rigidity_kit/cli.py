@@ -11,7 +11,9 @@ Output is deterministic for identical configurations.  ``verify`` takes
 its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
 in one process, through ``rigidity.agreement``.  ``main`` builds its parser
 once per process, on its first call, and reuses it; ``build_parser``
-returns a fresh one on every call.
+returns a fresh one on every call.  Only callers that run ``main`` more
+than once in a process gain from that; the ``rigidity-kit`` command runs
+it once, so it builds one parser either way.
 """
 
 from __future__ import annotations

@@ -27,12 +27,11 @@ from functools import cached_property, lru_cache
 
 from .quiver import (
     AlgebraType,
-    Diagram,
     Label,
     Vertex,
-    _orbit_offsets,
     hammock_incidence,
     omega,
+    orbit_offsets,
     tau,
 )
 from .rigidity import rd_closed
@@ -78,26 +77,21 @@ class OrthogonalityCertificate:
         return tuple(Vertex(x, labels[k]) for x, k in hits)
 
 
+@lru_cache(maxsize=1)
 def _orbit_covers(atype: AlgebraType) -> dict[Label, tuple[int, int]]:
     """Per label t, the forward-hammock cover and the cells of the orbit of (0, t).
 
     Both are laid out as the certificate's cover; the cover ORs each orbit
     representative's ``hammock_incidence``, folded modulo the period and rotated
-    to it.  Read from ``_covers``, memoised for the last type only and keyed on
-    plain values, so a certificate hashes no Fraction.
+    to it.  Memoised for the last type only; the key hashes no Fraction.
     """
-    return _covers(atype.diagram.family, atype.diagram.rank, atype.s, atype.n)
-
-
-@lru_cache(maxsize=1)
-def _covers(family: str, rank: int, s: int, n: int) -> dict[Label, tuple[int, int]]:
-    diagram = Diagram(family, rank)
-    period, width = s * n, len(diagram.labels)
+    diagram = atype.diagram
+    period, width = atype.period, len(diagram.labels)
     size = width * period
     full = (1 << size) - 1
     incidence = hammock_incidence(diagram)
     out = {}
-    for t, reps in _orbit_offsets(family, rank, s, n).items():
+    for t, reps in orbit_offsets(atype).items():
         cover = orbit = 0
         for c, dx in reps:
             bits = incidence[c]

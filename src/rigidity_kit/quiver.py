@@ -14,7 +14,8 @@ which holds that cache.  The lanes are read by label for the oracle and
 (``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
 since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
 depends on the type, composed on the phi table; it keeps the last type alone.
-Every memo keys on plain ints and labels, so no lookup hashes a Fraction.
+An ``AlgebraType`` hashes on (family, rank, s, n), so no memo lookup hashes
+its Fraction u.
 Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
 by ``Diagram.check_label``), not on every step; the hammock caches key on
 the label's type too, so a bool or float equal to a label meets that check.
@@ -250,6 +251,10 @@ class AlgebraType:
     u: Fraction
     n: int
 
+    def __hash__(self) -> int:
+        # u is fixed by n and m_delta, so this agrees with ==, and hashes no Fraction
+        return hash((self.diagram.family, self.diagram.rank, self.s, self.n))
+
     def __post_init__(self) -> None:
         fam, rank = self.diagram.family, self.diagram.rank
         if type(self.s) is not int or self.s not in (1, 2, 3):
@@ -376,26 +381,23 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
 
+@lru_cache(maxsize=1)
 def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
     """The orbit representatives of (0, t) for every label t, as pairs (t', dx).
 
     Powers 0..s-1 of ``tau^n . phi``, composed on the phi table: each adds n
     to the phi step of the label reached.  As phi commutes with tau, the
     orbit of (x, t) is the translates by period-multiples of the vertices
-    (x + dx, t').  Read from ``_orbit_offsets``, which memoises the last type
-    only, since callers go through one type's labels in a row; the returned
-    dict is shared by every caller of the cache, so never mutate it.
+    (x + dx, t').  Memoised for the last type only, since callers go through
+    one type's labels in a row; the returned dict is shared by every caller
+    of the cache, so never mutate it.
     """
-    return _orbit_offsets(atype.diagram.family, atype.diagram.rank, atype.s, atype.n)
-
-
-@lru_cache(maxsize=1)
-def _orbit_offsets(family: str, rank: int, s: int, n: int) -> dict[Label, tuple]:
-    steps = _phi_steps(family, rank, s)
+    diagram, n = atype.diagram, atype.n
+    steps = _phi_steps(diagram.family, diagram.rank, atype.s)
     offsets = {}
-    for t in _structure(family, rank)[0]:
+    for t in diagram.labels:
         orbit = [(t, 0)]
-        for _ in range(s - 1):
+        for _ in range(atype.s - 1):
             dx, c = steps[orbit[-1][0]]
             orbit.append((c, orbit[-1][1] + dx + n))
         offsets[t] = tuple(orbit)
@@ -472,37 +474,30 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     return tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
 
     Read from lane t of ``_knit_lanes``; labels the hammock misses have no
-    entry.  Shared through the cache of ``_hammock_columns``; never mutate it.
+    entry.  Shared by every caller; never mutate it.
     """
-    return _hammock_columns(diagram.family, diagram.rank, t)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _hammock_columns(family: str, rank: int, t: Label) -> dict[Label, tuple[int, ...]]:
-    Diagram(family, rank).check_label(t)
-    labels, lanes = _structure(family, rank)[0], _knit_lanes(family, rank)
+    diagram.check_label(t)
+    labels = diagram.labels
     n, k = len(labels), labels.index(t)
+    lanes = _knit_lanes(diagram.family, diagram.rank)
     return {c: dxs for c, m in zip(labels, lanes) if (dxs := tuple(compress(count(), m[k::n])))}
 
 
+@lru_cache(maxsize=None)
 def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
     """Transposed backward hammocks: label c -> an int with bit dx.n + k set
     when (dx, c) is in H-(0, labels[k]), n the number of labels.
 
     Cell c of ``_knit_lanes``, each byte made one bit in place (nonzero: 1).
-    Shared through the cache of ``_hammock_incidence``; never mutate it.
+    Shared by every caller; never mutate it.
     """
-    return _hammock_incidence(diagram.family, diagram.rank)
-
-
-@lru_cache(maxsize=None)
-def _hammock_incidence(family: str, rank: int) -> dict[Label, int]:
-    labels, lanes = _structure(family, rank)[0], _knit_lanes(family, rank)
-    return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(labels, lanes)}
+    lanes = _knit_lanes(diagram.family, diagram.rank)
+    return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:

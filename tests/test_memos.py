@@ -1,87 +1,26 @@
-"""The package's memos: keyed on plain values, so a warm call hashes no type."""
+"""The package's memos: a warm call hashes no Fraction, as an AlgebraType hashes on integers."""
 
 from __future__ import annotations
 
-import importlib
-import inspect
-import pkgutil
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
-import rigidity_kit
 from rigidity_kit import (
     AlgebraType,
-    Diagram,
     Vertex,
     is_maximal_orthogonal,
     rd_oracle,
     se_oracle,
 )
 
-TYPE_ANNOTATIONS = {AlgebraType, Diagram, "AlgebraType", "Diagram"}
+TYPES = [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
+         AlgebraType.create("E", 7, 5, 1)]
 
 
-def package_memos():
-    """Every object with ``cache_info`` in a ``rigidity_kit`` module or on its classes,
-    by the module and qualified name of the function it wraps.
-    """
-    memos = {}
-    for info in pkgutil.iter_modules(rigidity_kit.__path__):
-        module = importlib.import_module(f"rigidity_kit.{info.name}")
-        for value in vars(module).values():
-            members = [value]
-            if inspect.isclass(value) and value.__module__ == module.__name__:
-                members += vars(value).values()
-            for memo in members:
-                if hasattr(memo, "cache_info"):
-                    fn = memo.__wrapped__
-                    memos[f"{fn.__module__}.{fn.__qualname__}"] = memo
-    return memos
-
-
-def type_keyed(memo) -> list[str]:
-    """The parameters of the memoised function annotated ``AlgebraType`` or ``Diagram``."""
-    parameters = inspect.signature(memo.__wrapped__).parameters.values()
-    return [p.name for p in parameters if p.annotation in TYPE_ANNOTATIONS]
-
-
-def test_no_memo_is_keyed_on_a_type():
-    # a memo keyed on an AlgebraType hashes its Fraction u on every call
-    memos = package_memos().items()
-    offenders = {name: params for name, memo in memos if (params := type_keyed(memo))}
-    assert offenders == {}, f"memos keyed on a type: {offenders}"
-
-
-def test_the_guard_sees_the_package_memos():
-    memos = package_memos()
-    for name in ("quiver._orbit_offsets", "quiver._hammock_columns", "quiver._hammock_incidence",
-                 "quiver._knit_lanes", "orthogonal._covers", "rigidity._closed_plan",
-                 "euclid.weight_sequence", "cli._parser"):
-        assert f"rigidity_kit.{name}" in memos, name
-
-    @lru_cache(maxsize=1)
-    def keyed_on_a_type(atype: AlgebraType, diagram: Diagram, t: int) -> int:
-        return t
-
-    assert type_keyed(keyed_on_a_type) == ["atype", "diagram"]
-
-
-@pytest.mark.parametrize(
-    "atype",
-    [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
-     AlgebraType.create("E", 7, 5, 1)],
-    ids=lambda at: at.describe(),
-)
-def test_warm_calls_hash_no_fraction(monkeypatch, atype):
-    vertex = Vertex(0, 1)
-
-    def calls():
-        return (rd_oracle(atype, vertex), se_oracle(atype, vertex, 30),
-                is_maximal_orthogonal(atype, vertex, 3).is_maximal)
-
-    cold = calls()
+@pytest.fixture
+def fraction_hashes(monkeypatch):
+    """The Fractions hashed from here on, in order."""
     hashed = []
     fraction_hash = Fraction.__hash__
 
@@ -90,7 +29,40 @@ def test_warm_calls_hash_no_fraction(monkeypatch, atype):
         return fraction_hash(self)
 
     monkeypatch.setattr(Fraction, "__hash__", counted)
+    return hashed
+
+
+@pytest.mark.parametrize("atype", TYPES, ids=lambda at: at.describe())
+def test_warm_calls_hash_no_fraction(request, atype):
+    vertex = Vertex(0, 1)
+
+    def calls():
+        return (rd_oracle(atype, vertex), se_oracle(atype, vertex, 30),
+                is_maximal_orthogonal(atype, vertex, 3).is_maximal)
+
+    cold = calls()
+    hashed = request.getfixturevalue("fraction_hashes")
     assert calls() == cold
+    hash(atype)
     assert hashed == []
-    hash(atype)  # the probe sees a hash of the type
+    hash(atype.u)  # the probe sees a hash of a Fraction
     assert hashed == [atype.u]
+
+
+@pytest.mark.parametrize(
+    "same",
+    [
+        [AlgebraType.create("D", 6, Fraction(7, 3)), AlgebraType.create("D", 6, "7/3"),
+         AlgebraType.from_shift("D", 6, 21)],
+        [AlgebraType.create("A", 5, 3, 2), AlgebraType.create("A", 5, "3", 2),
+         AlgebraType.create("A", 5, Fraction(6, 2), 2), AlgebraType.from_shift("A", 5, 15, 2)],
+    ],
+    ids=["D6", "A5"],
+)
+def test_type_hash_agrees_with_equality(same):
+    assert len({hash(at) for at in same}) == 1
+    assert len(set(same)) == 1
+    others = [AlgebraType.create("D", 6, 1), AlgebraType.create("D", 7, 1),
+              AlgebraType.create("A", 5, 3), AlgebraType.create("A", 5, 1, 2),
+              AlgebraType.create("E", 6, 1), AlgebraType.create("E", 6, 1, 2)]
+    assert len(set(same) | set(others)) == 1 + len(others)

@@ -299,7 +299,7 @@ def test_per_type_memo_is_invisible():
         for atype in types:
             warm[atype, t] = outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30))
     for (atype, t), got in warm.items():
-        orthogonal._covers.cache_clear()
+        orthogonal._orbit_covers.cache_clear()
         assert outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30)) == got, (atype, t)
         assert got == per_label_certificate(atype, Vertex(2, t), 30), (atype, t)
 

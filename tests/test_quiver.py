@@ -757,7 +757,7 @@ def reference_knit_profile(family, rank, t0, forward):
 @pytest.fixture
 def cold_hammocks():
     """Empty every hammock cache before and after the test."""
-    caches = (quiver._knit_lanes, quiver._hammock_columns, quiver._hammock_incidence)
+    caches = (quiver._knit_lanes, hammock_columns, hammock_incidence)
     for cache in caches:
         cache.cache_clear()
     yield

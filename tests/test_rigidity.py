@@ -35,7 +35,7 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
-from rigidity_kit.quiver import _orbit_offsets, orbit_offsets
+from rigidity_kit.quiver import orbit_offsets
 from rigidity_kit.rigidity import _closed_plan, _Staircase
 from test_orthogonal import REFERENCE_TYPES
 
@@ -519,11 +519,6 @@ small_u_types = st.one_of(
 )
 
 
-def uncached_offsets(at):
-    """``orbit_offsets`` of ``at`` computed afresh, past the memo of ``_orbit_offsets``."""
-    return _orbit_offsets.__wrapped__(at.diagram.family, at.diagram.rank, at.s, at.n)
-
-
 @given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
 @settings(max_examples=40, deadline=None)
 def test_orbit_offsets_memo_is_invisible(types):
@@ -532,23 +527,23 @@ def test_orbit_offsets_memo_is_invisible(types):
 
     cold = {}
     for at in types:
-        _orbit_offsets.cache_clear()
-        assert orbit_offsets(at) == uncached_offsets(at)
+        orbit_offsets.cache_clear()
+        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
         reports = []
         for t in at.diagram.labels:
-            _orbit_offsets.cache_clear()
+            orbit_offsets.cache_clear()
             reports.append(report(at, t))
         cold[at] = reports
     for at in types:
         # warm: one type's labels in a row, each after the first a hit
         assert [report(at, t) for t in at.diagram.labels] == cold[at]
-        assert orbit_offsets(at) == uncached_offsets(at)
+        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
     # evicted: alternate the types label by label, so each call replaces the entry
     evicted = {at: [] for at in types}
     for k in range(max(len(at.diagram.labels) for at in types)):
         for at in types:
             if k < len(at.diagram.labels):
-                assert orbit_offsets(at) == uncached_offsets(at)
+                assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
                 evicted[at].append(report(at, at.diagram.labels[k]))
     assert evicted == cold
 
@@ -588,7 +583,7 @@ def test_orbit_offsets_check_no_label(monkeypatch):
 
     monkeypatch.setattr(Diagram, "check_label", counted)
     for at in REFERENCE_TYPES:
-        uncached_offsets(at)
+        orbit_offsets.__wrapped__(at)
     assert calls == []
 
 
