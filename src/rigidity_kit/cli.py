@@ -45,7 +45,7 @@ __all__ = ["build_parser", "main", "parse_label", "parse_u"]
 
 # matched in full, in ASCII digits: a natural number or a fraction with a nonzero denominator
 _U_PATTERN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
-_LABEL_PATTERN = re.compile(r"-?[0-9]+")  # check_label rejects a negative label
+_INT_PATTERN = re.compile(r"-?[0-9]+")  # a negative label, rank or bound meets its own check
 
 
 def parse_u(text: str) -> Fraction:
@@ -63,8 +63,14 @@ def parse_label(text: str):
         return SPINE_PLUS
     if text in (SPINE_MINUS, "m"):
         return SPINE_MINUS
-    if not _LABEL_PATTERN.fullmatch(text):
+    if not _INT_PATTERN.fullmatch(text):
         raise ValueError(f"label must be an integer, 'm+'/'p' or 'm-'/'m', got {text!r}")
+    return int(text)
+
+
+def _parse_int(text: str) -> int:
+    if not _INT_PATTERN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -113,10 +119,10 @@ def _dump_json(payload) -> str:
 
 def _add_type_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", required=True, choices=["A", "D", "E"])
-    parser.add_argument("--rank", required=True, type=int)
+    parser.add_argument("--rank", required=True, type=_parse_int)
     parser.add_argument("--u", help="exact rational, e.g. 5 or 17/8")
-    parser.add_argument("--n", type=int, help="raw tau-exponent (expert)")
-    parser.add_argument("--s", type=int, default=1, choices=[1, 2, 3])
+    parser.add_argument("--n", type=_parse_int, help="raw tau-exponent (expert)")
+    parser.add_argument("--s", type=_parse_int, default=1, choices=[1, 2, 3])
 
 
 def _add_output_args(parser: argparse.ArgumentParser, formats: list[str]) -> None:
@@ -150,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="closed-form vs oracle sweep")
     p_verify.add_argument("--delta", required=True, choices=["A", "D", "E"])
-    p_verify.add_argument("--s", type=int, default=1, choices=[1, 2, 3])
-    p_verify.add_argument("--rank", type=int, help="single rank (required for type E)")
-    p_verify.add_argument("--rank-max", type=int, help="sweep ranks up to this bound")
-    p_verify.add_argument("--n-max", type=int, help="sweep raw shifts 1..n-max (A s=1)")
-    p_verify.add_argument("--u-max", type=int, help="sweep u = 1..u-max")
+    p_verify.add_argument("--s", type=_parse_int, default=1, choices=[1, 2, 3])
+    p_verify.add_argument("--rank", type=_parse_int, help="single rank (required for type E)")
+    p_verify.add_argument("--rank-max", type=_parse_int, help="sweep ranks up to this bound")
+    p_verify.add_argument("--n-max", type=_parse_int, help="sweep raw shifts 1..n-max (A s=1)")
+    p_verify.add_argument("--u-max", type=_parse_int, help="sweep u = 1..u-max")
     p_verify.add_argument(
         "--fractional",
         action="store_true",
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ham = sub.add_parser("hammock", help="export a hammock or the orbit quiver")
     _add_type_args(p_ham)
     p_ham.add_argument("--t", required=True, help="base label")
-    p_ham.add_argument("--x", type=int, default=0, help="base slice coordinate")
+    p_ham.add_argument("--x", type=_parse_int, default=0, help="base slice coordinate")
     p_ham.add_argument(
         "--direction", default="minus", choices=["minus", "plus"],
         help="hammock into (minus) or out of (plus) the base vertex",

@@ -14,8 +14,8 @@ which holds that cache.  The lanes are read by label for the oracle and
 (``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
 since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
 depends on the type, composed on the phi table; it keeps the last type alone.
-An ``AlgebraType`` hashes on (family, rank, s, n), so no memo lookup hashes
-its Fraction u.
+A type's constructors take one interned ``Diagram`` per (family, rank),
+validated once, and a type hashes on (family, rank, s, n), not on its u.
 Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
 by ``Diagram.check_label``), not on every step; the hammock caches key on
 the label's type too, so a bool or float equal to a label meets that check.
@@ -154,6 +154,13 @@ class Diagram:
             raise ValueError(f"slice coordinate must be an integer, got {v.x!r}")
 
 
+_interned = lru_cache(maxsize=None)(Diagram)  # exact types only: True and 6.0 hash like 1 and 6
+
+
+def _diagram(family: str, rank: int) -> Diagram:
+    return (_interned if type(family) is str and type(rank) is int else Diagram)(family, rank)
+
+
 @lru_cache(maxsize=None)
 def _structure(family: str, rank: int):
     """Labels, their frozenset and a fixed edge orientation pinning the coordinates of ZD.
@@ -185,16 +192,12 @@ def _structure(family: str, rank: int):
         ins[b] += (a,)
         outs[a] += (b,)
     # sinks-first topological order: every out-neighbour precedes its source
-    placed: list[Label] = []
+    placed: dict[Label, None] = {}  # ordered, with set membership
     remaining = sorted(labels, key=_label_key)
     while remaining:
-        for c in remaining:
-            if all(b in placed for b in outs[c]):
-                placed.append(c)
-                remaining.remove(c)
-                break
-        else:  # pragma: no cover - the diagram is a tree
-            raise AssertionError("orientation is cyclic")
+        c = next(c for c in remaining if all(b in placed for b in outs[c]))
+        placed[c] = None
+        remaining.remove(c)
     return labels, frozenset(labels), ins, outs, tuple(placed)
 
 
@@ -305,10 +308,11 @@ class AlgebraType:
 
     @classmethod
     def create(cls, family: str, rank: int, u: Fraction | int | str, s: int = 1) -> "AlgebraType":
-        diagram = Diagram(family, rank)
+        """The type of u = n / m_delta on the interned diagram; a Fraction u is kept as it is."""
+        diagram = _diagram(family, rank)
         if type(u) not in (Fraction, int, str):
             raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
-        frac = Fraction(u)
+        frac = u if type(u) is Fraction else Fraction(u)
         n, rest = divmod(frac.numerator * diagram.m_delta, frac.denominator)
         if rest:
             raise ValueError(
@@ -319,8 +323,8 @@ class AlgebraType:
     @classmethod
     def from_shift(cls, family: str, rank: int, n: int, s: int = 1) -> "AlgebraType":
         """Expert constructor from the raw tau-exponent of the group generator."""
-        diagram = Diagram(family, rank)
-        return cls(diagram=diagram, s=s, u=Fraction(n) / diagram.m_delta, n=n)
+        m = (diagram := _diagram(family, rank)).m_delta  # a non-int n meets __post_init__'s checks
+        return cls(diagram, s, Fraction(n, m) if type(n) is int else Fraction(n) / m, n)
 
     @property
     def period(self) -> int:
@@ -453,7 +457,7 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     for c, _, outs in plan:  # c reaches itself and all that its plan out-neighbours reach
         cur[c] = reduce(or_, (cur[b] for b in outs), 1 << 8 * c)
     slices = [cur]
-    for _ in range(4 * Diagram(family, rank).m_delta + 8):
+    for _ in range(4 * _diagram(family, rank).m_delta + 8):
         nxt = [0] * n
         for c, ins, outs in plan:
             total = bias - cur[c]

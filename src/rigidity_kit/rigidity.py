@@ -38,9 +38,9 @@ from typing import Callable, Iterator
 from .euclid import EuclidData, weight_sequence
 from .quiver import (
     AlgebraType,
-    Diagram,
     Label,
     Vertex,
+    _diagram,
     hammock_columns,
     omega,
     orbit_offsets,
@@ -259,7 +259,7 @@ def _origin_vertices(family: str, rank: int) -> dict[Label, Vertex]:
     """The vertex (0, t) of every label t of one diagram, built when ``rd_closed`` first
     reads the diagram; a ``Vertex`` is frozen, so reports share them.  Never mutate it.
     """
-    return {t: Vertex(0, t) for t in Diagram(family, rank).labels}
+    return {t: Vertex(0, t) for t in _diagram(family, rank).labels}
 
 
 # maxsize=1: callers evaluate the labels of one type in a row, as for weight_sequence.
@@ -279,7 +279,7 @@ def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable
     elif family == "D" and s < 3:
         lookup = _Staircase(rank - 1, n, 1, "D:", 0, s).lookup
     else:
-        diagram = Diagram(family, rank)
+        diagram = _diagram(family, rank)
         u = n // diagram.m_delta  # integral for D4 with twist order 3 and for type E
         if family == "D":
             lookup = partial(_rd_closed_d4_triality, n, u)

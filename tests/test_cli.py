@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -52,14 +53,44 @@ class TestParsing:
         "option,value,message",
         [("--t", "1_0", "label must be an integer, 'm+'/'p' or 'm-'/'m', got '1_0'"),
          ("--t", "-1", "label -1 is not a vertex of A3"),
-         ("--u", "5\n", "u must be an exact rational like '17/8', got '5\\n'")],
-        ids=["underscore-label", "negative-label", "newline-u"],
+         ("--u", "5\n", "u must be an exact rational like '17/8', got '5\\n'"),
+         ("--rank", "-3", "type A needs rank >= 1, got -3")],
+        ids=["underscore-label", "negative-label", "newline-u", "negative-rank"],
     )
     def test_loose_number_exits_2(self, capsys, option, value, message):
         argv = {"--delta": "A", "--rank": "3", "--u": "1", "--t": "1", option: value}
         status, out, err = run_cli(capsys, "rd", *[w for pair in argv.items() for w in pair])
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "bad", ["1_0", " 3", "+3", "\u0663", " +\u0663", "3\n", "3 ", "", "-", "--1", "3.0", "0x3"]
+    )
+    def test_integer_options_reject_loose_spellings(self, bad):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            cli._parse_int(bad)
+        assert str(info.value) == f"invalid int value: {bad!r}"
+
+    def test_integer_options_read_ascii_digits(self):
+        assert [cli._parse_int(text) for text in ("0", "7", "10", "007", "-3")] == [0, 7, 10, 7, -3]
+
+    @pytest.mark.parametrize(
+        "argv,option,value",
+        [(["rd", "--delta", "A", "--u", "1", "--t", "1"], "--rank", "1_0"),
+         (["rd", "--delta", "A", "--rank", "3", "--t", "1"], "--n", " 3"),
+         (["rd", "--delta", "A", "--rank", "3", "--u", "1", "--t", "1"], "--s", "+1"),
+         (["hammock", "--delta", "A", "--rank", "3", "--u", "1", "--t", "1"], "--x", " +\u0663"),
+         (["verify", "--delta", "A", "--n-max", "2"], "--rank-max", "1_0"),
+         (["verify", "--delta", "A", "--rank-max", "2"], "--n-max", "2 "),
+         (["verify", "--delta", "E", "--u-max", "2"], "--rank", "\u0666"),
+         (["verify", "--delta", "E", "--rank", "6"], "--u-max", "+2")],
+        ids=["rank", "n", "s", "x", "rank-max", "n-max", "verify-rank", "u-max"],
+    )
+    def test_loose_integer_option_exits_2(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, option, value])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
 
 class TestRdCommand:
     ARGS = ["rd", "--delta", "A", "--rank", "8", "--u", "17/8", "--s", "1", "--t", "1"]

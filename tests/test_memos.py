@@ -1,17 +1,25 @@
-"""The package's memos: a warm call hashes no Fraction, as an AlgebraType hashes on integers."""
+"""The package's memos: a warm call hashes no Fraction, as an AlgebraType hashes on integers,
+and the constructors validate each diagram once, on an interned ``Diagram``."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from rigidity_kit import (
     AlgebraType,
+    Diagram,
     Vertex,
     is_maximal_orthogonal,
+    quiver,
+    rd_closed,
     rd_oracle,
+    rigidity,
     se_oracle,
+    sweep_types,
 )
 
 TYPES = [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
@@ -66,3 +74,77 @@ def test_type_hash_agrees_with_equality(same):
               AlgebraType.create("A", 5, 3), AlgebraType.create("A", 5, 1, 2),
               AlgebraType.create("E", 6, 1), AlgebraType.create("E", 6, 1, 2)]
     assert len(set(same) | set(others)) == 1 + len(others)
+
+
+@pytest.mark.parametrize(
+    "family,rank,u,s",
+    [("A", 5, 3, 2), ("A", 8, Fraction(17, 8), 1), ("D", 6, Fraction(7, 3), 1), ("D", 4, 2, 3),
+     ("E", 6, 1, 2), ("E", 8, "4", 1)],
+)
+def test_interned_types_match_types_on_a_fresh_diagram(family, rank, u, s):
+    fresh = Diagram(family, rank)
+    assert fresh is not Diagram(family, rank)
+    made = AlgebraType.create(family, rank, u, s)
+    shifted = AlgebraType.from_shift(family, rank, made.n, s)
+    direct = AlgebraType(fresh, s, Fraction(u), made.n)
+    for atype in (made, shifted):
+        assert atype == direct and hash(atype) == hash(direct)
+        assert atype.describe() == direct.describe()
+        assert atype.diagram == fresh and hash(atype.diagram) == hash(fresh)
+    assert made.diagram is shifted.diagram
+
+
+def test_create_keeps_a_fraction_u():
+    u = Fraction(17, 8)
+    assert AlgebraType.create("A", 8, u).u is u
+
+
+SWEEPS = [("A", 1, {"rank_max": 6, "n_max": 8}), ("A", 2, {"rank_max": 7, "u_max": 3}),
+          ("D", 1, {"rank_max": 7, "u_max": 3}), ("D", 2, {"rank_max": 6, "u_max": 2}),
+          ("D", 3, {"u_max": 4}), ("D", 1, {"rank_max": 9, "u_max": 5, "fractional": True}),
+          ("E", 1, {"rank": 6, "u_max": 3}), ("E", 2, {"rank": 6, "u_max": 3}),
+          ("E", 1, {"rank": 7, "u_max": 2}), ("E", 1, {"rank": 8, "u_max": 2})]
+
+
+def test_each_diagram_is_validated_once_across_sweeps(monkeypatch):
+    # fresh memos, so that every diagram of the grid is validated here
+    monkeypatch.setattr(quiver, "_interned", lru_cache(maxsize=None)(Diagram))
+    monkeypatch.setattr(rigidity, "_origin_vertices",
+                        lru_cache(maxsize=None)(rigidity._origin_vertices.__wrapped__))
+    validated = Counter()
+    post_init = Diagram.__post_init__
+
+    def counted(self):
+        validated[self.family, self.rank] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Diagram, "__post_init__", counted)
+    types = [at for delta, s, bounds in SWEEPS for at in sweep_types(delta, s, **bounds)]
+    for atype in types:
+        for t in atype.diagram.labels:
+            rd_closed(atype, t)
+    distinct = {(at.diagram.family, at.diagram.rank) for at in types}
+    for family, rank in distinct:
+        quiver._knit_lanes.__wrapped__(family, rank)
+    assert len(types) > 2 * len(distinct)  # validating per type would show
+    assert validated == Counter(dict.fromkeys(distinct, 1))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", True), ("A", 1.0), ("A", "1"), ("A", [1]), ("A", 0), ("D", 3), ("E", 9), ("E", 6.0),
+     ("B", 1), ("a", 1), (1, 1), (["A"], 1), (None, 6)],
+    ids=repr,
+)
+def test_rejected_spellings_raise_alike_after_interning(family, rank):
+    AlgebraType.create("A", 1, 1)  # interns A1 and E6, which True, 1.0 and 6.0 equal
+    AlgebraType.create("E", 6, 1)
+    with pytest.raises(ValueError) as info:
+        Diagram(family, rank)
+    message = str(info.value)
+    builds = [lambda: AlgebraType.create(family, rank, 1),
+              lambda: AlgebraType.from_shift(family, rank, 1), lambda: quiver._diagram(family, rank)]
+    for build in builds * 2:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

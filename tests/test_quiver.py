@@ -54,6 +54,22 @@ def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
     raise AssertionError("omega permutes the labels")  # pragma: no cover
 
 
+def reference_sinks_first(labels, outs) -> tuple:
+    """The sinks-first label order as a quadratic scan that tests membership in the list
+    placed so far: the reference for ``_structure``'s order."""
+    placed: list = []
+    remaining = sorted(labels, key=quiver._label_key)
+    while remaining:
+        for c in remaining:
+            if all(b in placed for b in outs[c]):
+                placed.append(c)
+                remaining.remove(c)
+                break
+        else:  # pragma: no cover - the diagram is a tree
+            raise AssertionError("orientation is cyclic")
+    return tuple(placed)
+
+
 class TestVertex:
     def test_value_semantics_under_slots(self):
         v = Vertex(3, SPINE_PLUS)
@@ -377,6 +393,17 @@ class TestTables:
         labels = Diagram(family, rank).labels
         assert sorted(labels, key=lambda t: Vertex(0, t).sort_key()) == list(labels)
 
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 81)), ("D", range(4, 81)), ("E", range(6, 9))]
+    )
+    def test_sinks_first_order_matches_the_quadratic_scan(self, family, ranks):
+        for rank in ranks:
+            labels, _, ins, outs, _ = _structure(family, rank)
+            # == compares the frozenset by value, not by its repr, which the string hash seed orders
+            assert _structure(family, rank) == (
+                labels, frozenset(labels), ins, outs, reference_sinks_first(labels, outs)
+            ), f"{family}{rank}"
+
     @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
     def test_incidence_transposes_backward_hammocks(self, family, rank):
         d = Diagram(family, rank)
@@ -520,6 +547,12 @@ def reference_create(family, rank, u, s=1):
     return reference_validate(diagram, s, frac, int(n))
 
 
+def reference_from_shift(family, rank, n, s=1):
+    """``AlgebraType.from_shift`` as first written: u is ``Fraction(n)`` divided by m_delta."""
+    diagram = Diagram(family, rank)
+    return reference_validate(diagram, s, Fraction(n) / diagram.m_delta, n)
+
+
 def validation_outcome(build, *args):
     """The fields, with their types, that ``build(*args)`` keeps, or its ``ValueError`` text."""
     try:
@@ -558,6 +591,45 @@ class TestIntegerValidationMatchesFractions:
         assert validation_outcome(AlgebraType, diagram, s, u, n) == validation_outcome(
             reference_validate, diagram, s, u, n
         )
+
+    # int n, and the bools, floats and strs that must meet __post_init__'s checks in its order
+    @given(st.sampled_from("ADE"), st.integers(1, 13),
+           st.one_of(st.integers(-3, 80), st.booleans(), st.floats(-3, 80, allow_nan=False),
+                     st.integers(-3, 80).map(str)),
+           st.integers(0, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_from_shift(self, family, rank, n, s):
+        if family == "E":
+            rank = 6 + rank % 3
+        args = (family, rank, n, s)
+        assert validation_outcome(AlgebraType.from_shift, *args) == validation_outcome(
+            reference_from_shift, *args
+        )
+
+    @pytest.mark.parametrize("family", "ADE")
+    def test_from_shift_u_over_a_grid(self, family):
+        built = 0
+        for rank in {"A": range(1, 13), "D": range(4, 13), "E": range(6, 9)}[family]:
+            for n in range(-2, 3 * Diagram(family, rank).m_delta + 2):
+                for s in (1, 2, 3):
+                    outcome = validation_outcome(AlgebraType.from_shift, family, rank, n, s)
+                    assert outcome == validation_outcome(reference_from_shift, family, rank, n, s)
+                    built += outcome[0] == "ok"
+        assert built >= 10  # the grid reaches valid types, not only errors
+
+    @pytest.mark.parametrize(
+        "n,s,message",
+        [(3.0, 5, "twist order must be 1, 2 or 3, got 5"),
+         (-1.5, 1, "u must be positive, got -1/2"),
+         (2.0, 1, "tau-exponent must be an integer, got 2.0"),
+         ("2", 1, "tau-exponent must be an integer, got '2'"),
+         (False, 1, "u must be positive, got 0")],
+        ids=["float-n-bad-s", "negative-float-n", "float-n", "str-n", "false-n"],
+    )
+    def test_from_shift_non_int_n_keeps_the_check_order(self, n, s, message):
+        with pytest.raises(ValueError) as info:
+            AlgebraType.from_shift("A", 3, n, s)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "u,n",
