@@ -75,11 +75,11 @@ def _parse_int(text: str) -> int:
 
 
 def make_type(args: argparse.Namespace) -> AlgebraType:
-    if getattr(args, "n", None) is not None:
-        if getattr(args, "u", None) is not None:
+    if args.n is not None:
+        if args.u is not None:
             raise ValueError("give either --u or --n, not both")
         return AlgebraType.from_shift(args.delta, args.rank, args.n, args.s)
-    if getattr(args, "u", None) is None:
+    if args.u is None:
         raise ValueError("a type spec needs --u or --n")
     return AlgebraType.create(args.delta, args.rank, parse_u(args.u), args.s)
 
@@ -226,22 +226,11 @@ def _reports_csv(reports: list[RigidityReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for rep in reports:
-        at = rep.atype
-        writer.writerow(
-            [
-                at.diagram.family,
-                at.diagram.rank,
-                str(at.u),
-                at.s,
-                at.n,
-                rep.vertex.x,
-                str(rep.vertex.t),
-                rep.rd,
-                rep.branch or "",
-                "" if rep.witness is None else rep.witness,
-                rep.domdim_bound,
-            ]
-        )
+        record = report_json(rep)  # its type and vertex hold the first columns, in order
+        writer.writerow([
+            *record["type"].values(), *record["vertex"].values(), rep.rd, rep.branch or "",
+            "" if rep.witness is None else rep.witness, rep.domdim_bound,
+        ])
     return buf.getvalue()
 
 

@@ -4,17 +4,12 @@ Weight sequences, remainder sequences and weighted Fibonacci sequences,
 the data the closed-form rigidity-degree formulas read.
 
 Everything here is pure and operates on plain Python integers, so all
-results are exact for arbitrarily large inputs and safe to use from any
-number of threads.  There is one Euclidean division per algebra type:
-``weight_sequence`` keeps its last result, and ``rd_closed`` reads it into
-a plan it keeps for the last type, so evaluating every label of one type
-divides once.
+results are exact for arbitrarily large inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -90,9 +85,6 @@ class EuclidData:
         raise IndexError(f"Fibonacci index {l} out of range [-1, {self.length}]")
 
 
-# maxsize=1: callers evaluate the labels of one type in a row; more entries only cost memory.
-# typed=True: a float or bool never hits an equal int's entry, so it reaches the check.
-@lru_cache(maxsize=1, typed=True)
 def weight_sequence(m: int, n: int) -> EuclidData:
     """Run the Euclidean algorithm on ``(m, n)`` and collect its combinatorics."""
     if not all(isinstance(a, int) and not isinstance(a, bool) for a in (m, n)):

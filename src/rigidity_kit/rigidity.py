@@ -5,12 +5,13 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
   weight/Fibonacci sequences of one Euclidean division per type.  It reads
-  a plan memoised for the last type: for type A and the chain labels of
-  type D, the staircase of that division, where ``bisect`` places a label
-  among the remainders and each row's result is formatted once, when a
-  label first lands in it; the D spine, D4 with twist order 3 and type E
-  are evaluated per call.  The report's vertex comes from a per-diagram
-  table of origin vertices, whose lookup is also the label check;
+  a plan memoised for the last type, which makes that division when it is
+  built: for type A and the chain labels of type D, the staircase of the
+  division, where ``bisect`` places a label among the remainders and each
+  row's result is formatted once, when a label first lands in it; the D
+  spine, D4 with twist order 3 and type E read the division per call.  The
+  report's vertex comes from a per-diagram table of origin vertices, whose
+  lookup is also the label check;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -32,7 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, islice
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
@@ -112,8 +112,7 @@ class _Staircase:
     such cell is formatted, with ``prefix``, when a label first lands in it,
     and is shared by every later one.  A label t with 2t > ``mirror`` reads
     the row of mirror - t, in a cell of its own marked ``+sym`` (type A,
-    mirror m; type D passes 0).  A D fork tip reads the spine formula per
-    call.  Threads that fill one cell at once write equal tuples.
+    mirror m; type D passes 0).  A D fork tip reads the spine formula per call.
     """
 
     __slots__ = ("data", "scale", "prefix", "mirror", "s", "ends", "cells")
@@ -169,8 +168,8 @@ def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
     return rd, f"D:spine(nondiv,par={parity})"
 
 
-def _rd_closed_d4_triality(n: int, u: int, t: Label) -> tuple[int, str]:
-    fb1 = weight_sequence(3, n).fb_at(1)
+def _rd_closed_d4_triality(fb1: int, u: int, t: Label) -> tuple[int, str]:
+    """D4 with twist order 3, from Fb_1 of the division (3, n)."""
     res = u % 3
     if t == 2:
         if res == 0:
@@ -233,7 +232,9 @@ _E6_BLOCK_B = {
 }
 
 
-def _rd_closed_e(rank: int, s: int, u: int, h_star: int, n: int, t: int) -> tuple[int, str]:
+def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[int, str]:
+    """Type E, from the division ``data`` of (h*, n)."""
+    h_star = data.m
     res = u % h_star  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
     if rank > 6:
         key = t if t in (1, 2, rank - 1, rank) else 3
@@ -246,7 +247,6 @@ def _rd_closed_e(rank: int, s: int, u: int, h_star: int, n: int, t: int) -> tupl
         table = _E6_BLOCK_A if first_block else _E6_BLOCK_B
         coeffs = table[1 if t in (1, 5) else 2][res]
         branch = f"E6.s{s}:t={t},u%6={res},blk={'A' if first_block else 'B'}"
-    data = weight_sequence(h_star, n)
     rd = coeffs[0]
     for i in (1, 2, 3):
         if coeffs[i]:
@@ -262,13 +262,14 @@ def _origin_vertices(family: str, rank: int) -> dict[Label, Vertex]:
     return {t: Vertex(0, t) for t in _diagram(family, rank).labels}
 
 
-# maxsize=1: callers evaluate the labels of one type in a row, as for weight_sequence.
-# Keyed on plain ints, since hashing an AlgebraType hashes its Fraction.
+# maxsize=1: callers evaluate the labels of one type in a row.  Keyed on plain values, which
+# hash and compare in C, where an AlgebraType key would run its Python __hash__ and __eq__.
 @lru_cache(maxsize=1)
 def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable]:
     """The closed form of one type: its origin vertices and its lookup t -> (rd, branch).
 
-    D4 with twist order 3 and type E are evaluated per call.
+    Building it makes the type's one Euclidean division; D4 with twist order 3
+    and type E are evaluated per call from the part of it they read.
     """
     m = rank + 1  # type A
     if family == "A" and s == 1:
@@ -282,9 +283,9 @@ def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable
         diagram = _diagram(family, rank)
         u = n // diagram.m_delta  # integral for D4 with twist order 3 and for type E
         if family == "D":
-            lookup = partial(_rd_closed_d4_triality, n, u)
+            lookup = partial(_rd_closed_d4_triality, weight_sequence(3, n).fb_at(1), u)
         else:
-            lookup = partial(_rd_closed_e, rank, s, u, diagram.h_star, n)
+            lookup = partial(_rd_closed_e, rank, s, u, weight_sequence(diagram.h_star, n))
     return _origin_vertices(family, rank), lookup
 
 
@@ -305,9 +306,9 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
 
 
 def _omega_walk(
-    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]]
-) -> Iterator[tuple[int, bool]]:
-    """Yield (i, hit) for i = 1, 2, ...: whether the i-th omega shift of v meets the target.
+    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]], bound: int
+) -> Iterator[int]:
+    """Yield each i in [1, bound] at which the i-th omega shift of v meets the target.
 
     The target is ``columns`` placed at v: the vertices (v.x + dx, c) with dx
     in ``columns[c]``, as ``hammock_columns`` gives them for the hammock of v.
@@ -322,16 +323,17 @@ def _omega_walk(
     diagram = atype.diagram
     period = atype.period
     offsets = orbit_offsets(atype)
-    hits: dict[Label, frozenset[int]] = {}
+    residue_sets: dict[Label, frozenset[int]] = {}
     w = v
-    for i in count(1):
+    for i in range(1, bound + 1):
         w = omega(diagram, w)
-        residues = hits.get(w.t)
+        residues = residue_sets.get(w.t)
         if residues is None:
-            residues = hits[w.t] = frozenset(
+            residues = residue_sets[w.t] = frozenset(
                 (dx - ox) % period for c, ox in offsets[w.t] for dx in columns.get(c, ())
             )
-        yield i, (w.x - v.x) % period in residues
+        if (w.x - v.x) % period in residues:
+            yield i
 
 
 def _first_hit(
@@ -339,9 +341,8 @@ def _first_hit(
 ) -> int:
     """First hit of ``_omega_walk``; past a step cap, ``RuntimeError`` of ``failure.format(v)``."""
     cap = 4 * atype.s * atype.n * (atype.diagram.m_delta + 1)
-    for i, hit in islice(_omega_walk(atype, v, columns), cap):
-        if hit:
-            return i
+    for i in _omega_walk(atype, v, columns, cap):
+        return i
     raise RuntimeError(f"{failure.format(v)} within {cap} steps")
 
 
@@ -352,8 +353,7 @@ def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
     atype.diagram.check_vertex(v)
-    walk = _omega_walk(atype, v, hammock_columns(atype.diagram, v.t))
-    return tuple(i for i, hit in islice(walk, horizon) if hit)
+    return tuple(_omega_walk(atype, v, hammock_columns(atype.diagram, v.t), horizon))
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:

@@ -65,6 +65,15 @@ def type_d_sweep():
     )
 
 
+def type_e_sweep():
+    return (
+        sweep_types("E", 1, rank=6, u_max=13)
+        + sweep_types("E", 2, rank=6, u_max=13)
+        + sweep_types("E", 1, rank=7, u_max=10)
+        + sweep_types("E", 1, rank=8, u_max=8)
+    )
+
+
 def test_criterion_01_agreement_type_a_untwisted():
     with criterion(1, "closed-form/oracle agreement, type A s=1", 30):
         assert_agreement(type_a_s1_sweep(), 750)
@@ -82,13 +91,7 @@ def test_criterion_03_agreement_type_d():
 
 def test_criterion_04_agreement_type_e():
     with criterion(4, "closed-form/oracle agreement, type E", 120):
-        types = (
-            sweep_types("E", 1, rank=6, u_max=13)
-            + sweep_types("E", 2, rank=6, u_max=13)
-            + sweep_types("E", 1, rank=7, u_max=10)
-            + sweep_types("E", 1, rank=8, u_max=8)
-        )
-        assert_agreement(types, 26 * 6 + 10 * 7 + 8 * 8)
+        assert_agreement(type_e_sweep(), 26 * 6 + 10 * 7 + 8 * 8)
 
 
 def test_criterion_05_worked_example():

@@ -16,6 +16,15 @@ import sys
 from pathlib import Path
 
 from rigidity_kit import AlgebraType, rd_closed, rigdim_closed
+from rigidity_kit.rigidity import (
+    _E6_BLOCK_A,
+    _E6_BLOCK_B,
+    _E6_SHARED_ROWS,
+    _E7_ROWS,
+    _E8_ROWS,
+)
+from test_acceptance import type_e_sweep
+from test_rigidity import e8_table_sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,3 +88,49 @@ def test_named_grids_reach_every_a_and_d_branch_kind():
     # no candidate reaches the A.s1 fringe; the small shifts do
     assert BRANCH_KINDS - candidates == {"A.s1:zero", "A.s1:zero+sym"}
     assert {"A.s1:zero", "A.s1:zero+sym"} <= small_shift
+
+
+def e_table_cells() -> set[tuple]:
+    """Every cell of the type-E tables: (prefix, [block,] row key, u mod h*)."""
+    cells = set()
+    for prefix, rows in (("E7", _E7_ROWS), ("E8", _E8_ROWS)):
+        cells |= {(prefix, key, res) for key, row in rows.items() for res in range(len(row))}
+    for prefix in ("E6.s1", "E6.s2"):
+        for key, row in _E6_SHARED_ROWS.items():
+            cells |= {(prefix, key, res) for res in range(len(row))}
+        for block, rows in (("A", _E6_BLOCK_A), ("B", _E6_BLOCK_B)):
+            for key, row in rows.items():
+                cells |= {(prefix, block, key, res) for res in range(len(row))}
+    return cells
+
+
+E_BRANCH = re.compile(r"(E[678](?:\.s[12])?):t=(\d+),u%\d+=(\d+)(?:,blk=([AB]))?")
+
+
+def e_cells_reached(types) -> set[tuple]:
+    """The type-E table cells that ``rd_closed`` reads on ``types``, labels collapsed to rows."""
+    cells = set()
+    for atype in types:
+        rank = atype.diagram.rank
+        for t in atype.diagram.labels:
+            prefix, label, res, block = E_BRANCH.fullmatch(rd_closed(atype, t).branch).groups()
+            label, res = int(label), int(res)
+            if block:
+                cells.add((prefix, block, 1 if label in (1, 5) else 2, res))
+            elif rank == 6:
+                cells.add((prefix, label, res))
+            else:
+                cells.add((prefix, label if label in (1, 2, rank - 1, rank) else 3, res))
+    return cells
+
+
+def test_agreement_grids_reach_every_e_table_cell():
+    # the grids that tier-1 checks against the oracle: criterion 4 and the E8 sweep of u <= 15
+    cells = e_table_cells()
+    criterion_4 = e_cells_reached(type_e_sweep())
+    assert len(cells) == 192
+    assert criterion_4 | e_cells_reached(e8_table_sweep()) == cells
+    # criterion 4 stops at E8 u = 8, so the E8 sweep alone reaches u mod 15 in {0, 9, ..., 14}
+    assert cells - criterion_4 == {
+        ("E8", key, res) for key in _E8_ROWS for res in (0, *range(9, 15))
+    }

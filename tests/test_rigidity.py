@@ -30,6 +30,7 @@ from rigidity_kit import (
     rd_closed,
     rd_oracle,
     rem,
+    rigidity,
     se_oracle,
     sweep_types,
     tau,
@@ -40,6 +41,11 @@ from rigidity_kit.rigidity import _closed_plan, _Staircase
 from test_orthogonal import REFERENCE_TYPES
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
+
+
+def e8_table_sweep():
+    # u = 1..15 meets every residue u mod 15 that keys the E8 table
+    return sweep_types("E", 1, rank=8, u_max=15)
 
 
 class TestClosedFormTypeA:
@@ -136,8 +142,7 @@ class TestClosedFormTypeE:
             assert rd_closed(at, t).rd == rd_oracle(at, Vertex(0, t)).rd
 
     def test_e8_every_table_column_against_oracle(self):
-        # u = 1..15 meets every residue u mod 15 that keys the E8 table
-        checked, mismatches = agreement(sweep_types("E", 1, rank=8, u_max=15))
+        checked, mismatches = agreement(e8_table_sweep())
         assert mismatches == []
         assert checked == 15 * 8
 
@@ -432,31 +437,30 @@ large_u_types = st.one_of(
 )
 
 
-@given(large_u_types)
-@settings(max_examples=60, deadline=None)
-def test_weight_sequence_memo_is_invisible(at):
-    labels = at.diagram.labels
-    # each evicting type shares one side of the division with ``at``: the
-    # same diagram at u + 1 keeps m (except type A s=2), and type A of rank
-    # + 1 at the same n divides (rank + 2, n)
-    others = (
-        AlgebraType.create(at.diagram.family, at.diagram.rank, at.u + 1, at.s),
-        AlgebraType.from_shift("A", at.diagram.rank + 1, at.n),
-    )
-    cold = []
-    for t in labels:
-        weight_sequence.cache_clear()
-        cold.append(rd_closed(at, t))
-    warm = [rd_closed(at, t) for t in labels]
-    for other in others:
-        weight_sequence.cache_clear()
-        other_cold = rd_closed(other, 1)
-        evicted = []
-        for t in labels:
-            assert rd_closed(other, 1) == other_cold
-            evicted.append(rd_closed(at, t))
-        assert evicted == cold
-    assert warm == cold
+@pytest.mark.parametrize(
+    "at",
+    [AlgebraType.create("A", 8, Fraction(17, 8), 1), AlgebraType.create("A", 5, 2, 2),
+     AlgebraType.create("D", 6, 2, 1), AlgebraType.create("D", 6, 2, 2),
+     AlgebraType.create("D", 6, Fraction(4, 3), 1), AlgebraType.create("D", 4, 2, 3),
+     AlgebraType.create("E", 6, 2, 1), AlgebraType.create("E", 6, 2, 2),
+     AlgebraType.create("E", 7, 5, 1), AlgebraType.create("E", 8, 2, 1)],
+    ids=lambda at: at.describe(),
+)
+def test_closed_plan_divides_once_per_type(monkeypatch, at):
+    # every label, the D fork tips included, twice over, reads the one division of the plan
+    divisions = []
+
+    def counted(m, n):
+        divisions.append((m, n))
+        return weight_sequence(m, n)
+
+    monkeypatch.setattr(rigidity, "weight_sequence", counted)
+    _closed_plan.cache_clear()
+    reports = [rd_closed(at, t) for _ in range(2) for t in at.diagram.labels]
+    assert len(divisions) == 1
+    monkeypatch.undo()
+    _closed_plan.cache_clear()
+    assert reports == [rd_closed(at, t) for _ in range(2) for t in at.diagram.labels]
 
 
 @given(st.lists(large_u_types, min_size=2, max_size=3, unique=True))
