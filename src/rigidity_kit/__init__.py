@@ -8,7 +8,6 @@ dimensions of the single-orbit families.
 
 from .euclid import (
     EuclidData,
-    rem,
     weight_sequence,
     weighted_fibonacci,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "phi",
     "rd_closed",
     "rd_oracle",
-    "rem",
     "rigdim_closed",
     "rigdim_verify",
     "se_oracle",

@@ -14,19 +14,9 @@ from typing import Sequence
 
 __all__ = [
     "EuclidData",
-    "rem",
     "weight_sequence",
     "weighted_fibonacci",
 ]
-
-
-def rem(a: int, n: int) -> int:
-    """Remainder of ``a`` modulo ``n``, always in ``[0, n)``, also for negative ``a``."""
-    if type(n) is not int:
-        raise ValueError(f"modulus must be an integer, got {n!r}")
-    if n <= 0:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return a % n
 
 
 def weighted_fibonacci(weights: Sequence[int]) -> tuple[int, ...]:
@@ -53,8 +43,8 @@ class EuclidData:
     ``s_1 > s_2 > ... > s_{d+1} > s_{d+2} = 0`` produced along the way, and
     ``fb`` is the weighted Fibonacci sequence of ``k`` including both seeds.
 
-    Index conventions follow the defining equations: ``s_at(-1) == m``,
-    ``s_at(0) == n``, and ``fb_at(l)`` is defined for ``-1 <= l <= length``.
+    ``s[l - 1]`` is s_l of the defining equations, whose s_{-1} and s_0 are
+    m and n, and ``fb_at(l)`` is defined for ``-1 <= l <= length``.
     When n divides m the weight sequence is empty, ``s == (0,)`` and
     ``fb == (0, 1)``.
     """
@@ -69,15 +59,6 @@ class EuclidData:
     def length(self) -> int:
         """Number of weights, written d+1 in the defining equations."""
         return len(self.k)
-
-    def s_at(self, l: int) -> int:
-        if l == -1:
-            return self.m
-        if l == 0:
-            return self.n
-        if 1 <= l <= self.length + 1:
-            return self.s[l - 1]
-        raise IndexError(f"remainder index {l} out of range [-1, {self.length + 1}]")
 
     def fb_at(self, l: int) -> int:
         if -1 <= l <= self.length:

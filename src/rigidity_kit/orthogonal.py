@@ -83,7 +83,7 @@ def _orbit_covers(atype: AlgebraType) -> dict[Label, tuple[int, int]]:
 
     Both are laid out as the certificate's cover; the cover ORs each orbit
     representative's ``hammock_incidence``, folded modulo the period and rotated
-    to it.  Memoised for the last type only; the key hashes no Fraction.
+    to it.  Memoised for the last type only.
     """
     diagram = atype.diagram
     period, width = atype.period, len(diagram.labels)
@@ -194,8 +194,8 @@ def rigdim_closed(atype: AlgebraType) -> RigdimFormula | None:
                     return RigdimFormula(
                         "A.s2:n=am-1", a, 2 * a * m + m - 2 * a - 3, (2 * a + 1) * (m - 1)
                     )
-    elif fam == "E" and rank == 7 and atype.s == 1 and int(atype.u) % 9 == 5:
-        a = (int(atype.u) - 5) // 9
+    elif fam == "E" and rank == 7 and atype.s == 1 and atype.n % 153 == 85:
+        a = (atype.n - 85) // 153  # n = 17u and u = 9a + 5
         return RigdimFormula("E7:u=9a+5", a, 119 * a + 66, 119 * a + 68)
     return None
 

@@ -14,8 +14,9 @@ which holds that cache.  The lanes are read by label for the oracle and
 (``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
 since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
 depends on the type, composed on the phi table; it keeps the last type alone.
-A type's constructors take one interned ``Diagram`` per (family, rank),
-validated once, and a type hashes on (family, rank, s, n), not on its u.
+An algebra type is the triple (diagram, s, n), with its u = n / m_delta
+derived; its constructors take one interned ``Diagram`` per (family, rank),
+validated once.
 Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
 by ``Diagram.check_label``), not on every step; the hammock caches key on
 the label's type too, so a bool or float equal to a label meets that check.
@@ -29,6 +30,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -233,10 +235,11 @@ def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
 
 def omega(diagram: Diagram, v: Vertex) -> Vertex:
     """The syzygy automorphism of ZD in the fixed coordinates, one table lookup."""
-    step = _omega_steps(diagram.family, diagram.rank).get(v.t)
-    if step is None:
+    try:
+        dx, t = _omega_steps(diagram.family, diagram.rank)[v.t]
+    except (KeyError, TypeError):  # not a label, or unhashable: check_label raises
         diagram.check_label(v.t)
-    dx, t = step
+        raise
     return Vertex(v.x + dx, t)
 
 
@@ -245,34 +248,28 @@ class AlgebraType:
     """A validated triple (diagram, twist order s, tau-exponent n).
 
     The admissible group is generated by ``tau^n . phi`` where phi is the
-    order-s twist; ``u = n / m_delta`` is kept as an exact rational because
-    several closed forms key on residues of u.
+    order-s twist.  The frequency ``u = n / m_delta`` is derived from n, an
+    exact rational because several closed forms key on residues of u.
     """
 
     diagram: Diagram
     s: int
-    u: Fraction
     n: int
 
     def __hash__(self) -> int:
-        # u is fixed by n and m_delta, so this agrees with ==, and hashes no Fraction
+        # agrees with ==, and hashes the diagram's fields without a call to Diagram.__hash__
         return hash((self.diagram.family, self.diagram.rank, self.s, self.n))
 
     def __post_init__(self) -> None:
         fam, rank = self.diagram.family, self.diagram.rank
         if type(self.s) is not int or self.s not in (1, 2, 3):
             raise ValueError(f"twist order must be 1, 2 or 3, got {self.s!r}")
-        if not isinstance(self.u, Fraction):
-            raise ValueError(f"u must be a Fraction, got {self.u!r}")
-        num, den = self.u.numerator, self.u.denominator  # den > 0
-        if num <= 0:
-            raise ValueError(f"u must be positive, got {self.u}")
         if type(self.n) is not int:
             raise ValueError(f"tau-exponent must be an integer, got {self.n!r}")
-        if self.n * den != num * self.diagram.m_delta or self.n < 1:
-            raise ValueError(
-                f"tau-exponent {self.n} does not match u={self.u} for {fam}{rank}"
-            )
+        if self.n < 1:
+            raise ValueError(f"u must be positive, got {self.u}")
+        m = self.diagram.m_delta
+        den = m // math.gcd(self.n, m)  # of u = n / m_delta in lowest terms
         integral = den == 1
         if fam == "A":
             if self.s == 2:
@@ -308,23 +305,27 @@ class AlgebraType:
 
     @classmethod
     def create(cls, family: str, rank: int, u: Fraction | int | str, s: int = 1) -> "AlgebraType":
-        """The type of u = n / m_delta on the interned diagram; a Fraction u is kept as it is."""
+        """The type of u = n / m_delta on the interned diagram."""
         diagram = _diagram(family, rank)
         if type(u) not in (Fraction, int, str):
             raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
-        frac = u if type(u) is Fraction else Fraction(u)
+        frac = Fraction(u)
         n, rest = divmod(frac.numerator * diagram.m_delta, frac.denominator)
         if rest:
             raise ValueError(
                 f"u={frac} gives non-integral tau-exponent for {family}{rank}"
             )
-        return cls(diagram=diagram, s=s, u=frac, n=n)
+        return cls(diagram, s, n)
 
     @classmethod
     def from_shift(cls, family: str, rank: int, n: int, s: int = 1) -> "AlgebraType":
         """Expert constructor from the raw tau-exponent of the group generator."""
-        m = (diagram := _diagram(family, rank)).m_delta  # a non-int n meets __post_init__'s checks
-        return cls(diagram, s, Fraction(n, m) if type(n) is int else Fraction(n) / m, n)
+        return cls(_diagram(family, rank), s, n)
+
+    @property
+    def u(self) -> Fraction:
+        """The frequency ``n / m_delta``."""
+        return Fraction(self.n, self.diagram.m_delta)
 
     @property
     def period(self) -> int:

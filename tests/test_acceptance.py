@@ -19,13 +19,13 @@ from rigidity_kit import (
     is_maximal_orthogonal,
     rd_closed,
     rd_oracle,
-    rem,
     rigdim_closed,
     rigdim_verify,
     se_oracle,
     sweep_types,
     weight_sequence,
 )
+from test_euclid import s_at
 
 
 @contextmanager
@@ -156,10 +156,10 @@ def _check_congruences_and_ranges():
         for n in range(1, 201):
             data = weight_sequence(m, n)
             L = data.length
-            s1 = data.s_at(1) if L else 0
+            s1 = s_at(data, 1) if L else 0
             for l in range(1, L + 2):
                 assert (
-                    data.fb_at(l - 1) * s1 - (-1) ** (l - 1) * data.s_at(l)
+                    data.fb_at(l - 1) * s1 - (-1) ** (l - 1) * s_at(data, l)
                 ) % n == 0, (m, n, l)
             if L == 0:
                 continue
@@ -167,7 +167,7 @@ def _check_congruences_and_ranges():
             d_even = L % 2 == 1
             for l in range(1, L + 1):
                 hi = data.fb_at(l) + (1 if (l % 2 == 1 and l < L) else 0)
-                s_l = data.s_at(l)
+                s_l = s_at(data, l)
                 fb_prev = data.fb_at(l - 1)
                 if l % 2 == 1:
                     low_eq = fb_prev
@@ -207,7 +207,7 @@ def _check_se_membership_rules():
             for i in range(1, horizon + 1):
                 k = i // 2
                 expected = (
-                    rem(k * m, n) < t if i % 2 == 0 else rem(k * m, n) >= n - t
+                    k * m % n < t if i % 2 == 0 else k * m % n >= n - t
                 )
                 assert (i in se) == expected, (atype.describe(), t, i)
     for atype in type_a_s2_sweep():
@@ -217,9 +217,7 @@ def _check_se_membership_rules():
         for t in range(1, m // 2 + 1):
             se = set(se_oracle(atype, Vertex(0, t), horizon))
             for r in range(1, horizon + 1):
-                expected = rem(r * big_m, big_n) < t or rem(
-                    (r - 1) * big_m, big_n
-                ) >= big_n - t
+                expected = r * big_m % big_n < t or (r - 1) * big_m % big_n >= big_n - t
                 assert (r in se) == expected, (atype.describe(), t, r)
     for atype in type_d_sweep():
         if atype.s == 3:
@@ -228,7 +226,7 @@ def _check_se_membership_rules():
         for t in range(1, m):
             se = set(se_oracle(atype, Vertex(0, t), horizon))
             for r in range(1, horizon + 1):
-                expected = rem(r * m, n) < t or rem((r - 1) * m, n) >= n - t
+                expected = r * m % n < t or (r - 1) * m % n >= n - t
                 assert (r in se) == expected, (atype.describe(), t, r)
 
 

@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_kit import EuclidData, rem, weight_sequence, weighted_fibonacci
+from rigidity_kit import EuclidData, weight_sequence, weighted_fibonacci
+
+
+def s_at(data: EuclidData, l: int) -> int:
+    """Remainder s_l of the defining equations: s_{-1} = m, s_0 = n, then ``data.s``."""
+    if l == -1:
+        return data.m
+    if l == 0:
+        return data.n
+    if 1 <= l <= data.length + 1:
+        return data.s[l - 1]
+    raise IndexError(f"remainder index {l} out of range [-1, {data.length + 1}]")
 
 
 class TestWeightedFibonacci:
@@ -82,14 +93,14 @@ class TestWeightSequence:
 
     def test_index_conventions(self):
         data = weight_sequence(9, 17)
-        assert data.s_at(-1) == 9
-        assert data.s_at(0) == 17
-        assert data.s_at(1) == 9
-        assert data.s_at(4) == 0
+        assert s_at(data, -1) == 9
+        assert s_at(data, 0) == 17
+        assert s_at(data, 1) == 9
+        assert s_at(data, 4) == 0
         assert data.fb_at(-1) == 0
         assert data.fb_at(0) == 1
         with pytest.raises(IndexError):
-            data.s_at(5)
+            s_at(data, 5)
         with pytest.raises(IndexError):
             data.fb_at(4)
 
@@ -100,16 +111,16 @@ class TestWeightSequence:
         L = data.length
         # strictly decreasing remainders, terminating at zero
         for i in range(1, L + 1):
-            assert 0 < data.s_at(i) < data.s_at(i - 1)
+            assert 0 < s_at(data, i) < s_at(data, i - 1)
         if L:
-            assert data.s_at(1) == m % n
-        assert data.s_at(L + 1) == 0
+            assert s_at(data, 1) == m % n
+        assert s_at(data, L + 1) == 0
         # congruence linking Fibonacci values and remainders
         for l in range(1, L + 2):
-            assert (data.fb_at(l - 1) * data.s_at(1) - (-1) ** (l - 1) * data.s_at(l)) % n == 0
+            assert (data.fb_at(l - 1) * s_at(data, 1) - (-1) ** (l - 1) * s_at(data, l)) % n == 0
         # the last Fibonacci value annihilates modulo n and is bounded by n
         assert data.fb_at(L) <= n
-        assert (data.fb_at(L) * data.s_at(1)) % n == 0
+        assert (data.fb_at(L) * s_at(data, 1)) % n == 0
 
     @given(st.integers(1, 2000), st.integers(1, 2000))
     @settings(max_examples=150)
@@ -117,7 +128,7 @@ class TestWeightSequence:
         data = weight_sequence(m, n)
         seen = set()
         for r in range(1, data.fb_at(data.length)):
-            value = rem(r * m, n)
+            value = r * m % n
             assert value != 0
             assert value not in seen
             seen.add(value)
@@ -209,9 +220,9 @@ def rem_range_check(data: EuclidData, l: int, r: int) -> RemainderRangeReport:
         raise ValueError(f"r={r} out of admissible range {bound} for l={l}")
 
     n = data.n
-    s_l = data.s_at(l)
-    rm = rem(r * data.m, n)
-    rm_prev = rem((r - 1) * data.m, n)
+    s_l = s_at(data, l)
+    rm = r * data.m % n
+    rm_prev = (r - 1) * data.m % n
     fb_top = data.fb_at(L)
     fb_sub = data.fb_at(L - 1)
     d_even = L % 2 == 1  # length == d + 1
@@ -277,15 +288,15 @@ class TestFibDecompose:
         assert all(0 <= lam[i] <= data.k[i] for i in range(l))
         assert sum(c * data.fb_at(i) for i, c in enumerate(lam)) == r
         # the alternating remainder identity carried by the decomposition
-        acc = sum((-1) ** i * lam[i] * data.s_at(i + 1) for i in range(l))
-        assert (r * data.s_at(1) - acc) % n == 0
+        acc = sum((-1) ** i * lam[i] * s_at(data, i + 1) for i in range(l))
+        assert (r * s_at(data, 1) - acc) % n == 0
 
 
 class TestRemainderRange:
     def test_equality_at_fb0(self):
         data = weight_sequence(9, 17)
         report = rem_range_check(data, 1, 1)
-        assert report.rm == 9 == data.s_at(1)
+        assert report.rm == 9 == s_at(data, 1)
         assert report.lower_tight and report.lower_tight_predicted
         assert report.all_ok
 
@@ -294,7 +305,7 @@ class TestRemainderRange:
         loose = rem_range_check(data, 3, 15)
         assert loose.rm_prev == 7 and not loose.upper_tight and loose.all_ok
         tight = rem_range_check(data, 3, 16)
-        assert tight.rm_prev == 16 == 17 - data.s_at(3)
+        assert tight.rm_prev == 16 == 17 - s_at(data, 3)
         assert tight.upper_tight and tight.upper_tight_predicted
 
     def test_rejects_when_no_index_exists(self):
@@ -319,13 +330,3 @@ class TestRemainderRange:
                     hi = top + 1 if (l % 2 == 1 and l < data.length) else top
                     for r in range(1, hi):
                         assert rem_range_check(data, l, r).all_ok, (m, n, l, r)
-
-
-def test_rem_mathematical_modulus():
-    assert rem(-8, 17) == 9
-    assert rem(17, 17) == 0
-    with pytest.raises(ValueError, match="must be positive, got 0"):
-        rem(3, 0)
-    for modulus in (True, 2.0):
-        with pytest.raises(ValueError, match="modulus must be an integer"):
-            rem(5, modulus)

@@ -3,11 +3,14 @@ and the constructors validate each diagram once, on an interned ``Diagram``."""
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_kit import (
     AlgebraType,
@@ -86,7 +89,7 @@ def test_interned_types_match_types_on_a_fresh_diagram(family, rank, u, s):
     assert fresh is not Diagram(family, rank)
     made = AlgebraType.create(family, rank, u, s)
     shifted = AlgebraType.from_shift(family, rank, made.n, s)
-    direct = AlgebraType(fresh, s, Fraction(u), made.n)
+    direct = AlgebraType(fresh, s, made.n)
     for atype in (made, shifted):
         assert atype == direct and hash(atype) == hash(direct)
         assert atype.describe() == direct.describe()
@@ -94,9 +97,35 @@ def test_interned_types_match_types_on_a_fresh_diagram(family, rank, u, s):
     assert made.diagram is shifted.diagram
 
 
-def test_create_keeps_a_fraction_u():
-    u = Fraction(17, 8)
-    assert AlgebraType.create("A", 8, u).u is u
+# (family, rank, u, s) over every family and twist order, fractional type D included
+created = st.one_of(
+    st.builds(lambda rank, n: ("A", rank, Fraction(n, rank), 1), st.integers(1, 12), st.integers(1, 40)),
+    st.builds(lambda rank, u: ("A", rank, u, 2), st.sampled_from([3, 5, 7, 9, 11]), st.integers(1, 6)),
+    st.builds(lambda rank, u, s: ("D", rank, u, s), st.integers(4, 10), st.integers(1, 6),
+              st.sampled_from([1, 2])),
+    st.builds(lambda rank, v: ("D", rank, Fraction(v, 3), 1), st.sampled_from([6, 9, 12]),
+              st.integers(1, 18).filter(lambda v: v % 3)),
+    st.builds(lambda u: ("D", 4, u, 3), st.integers(1, 12)),
+    st.builds(lambda rank, u: ("E", rank, u, 1), st.sampled_from([6, 7, 8]), st.integers(1, 12)),
+    st.builds(lambda u: ("E", 6, u, 2), st.integers(1, 12)),
+)
+
+
+def test_a_type_stores_n_alone():
+    assert [field.name for field in dataclasses.fields(AlgebraType)] == ["diagram", "s", "n"]
+    assert isinstance(AlgebraType.u, property)
+
+
+@given(created, st.sampled_from([Fraction, str]))
+@settings(max_examples=300, deadline=None)
+def test_u_is_derived_from_n(case, spelling):
+    family, rank, u, s = case
+    at = AlgebraType.create(family, rank, spelling(u), s)
+    assert at.u == u and type(at.u) is Fraction
+    assert at.n == u * at.diagram.m_delta and type(at.n) is int
+    shifted = AlgebraType.from_shift(family, rank, at.n, s)
+    assert shifted == at and hash(shifted) == hash(at)
+    assert at.describe() == f"({family}{rank}, {Fraction(u)}, {s})"  # as when create kept u
 
 
 SWEEPS = [("A", 1, {"rank_max": 6, "n_max": 8}), ("A", 2, {"rank_max": 7, "u_max": 3}),

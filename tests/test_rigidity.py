@@ -29,7 +29,6 @@ from rigidity_kit import (
     omega_period,
     rd_closed,
     rd_oracle,
-    rem,
     rigidity,
     se_oracle,
     sweep_types,
@@ -38,6 +37,7 @@ from rigidity_kit import (
 )
 from rigidity_kit.quiver import orbit_offsets
 from rigidity_kit.rigidity import _closed_plan, _Staircase
+from test_euclid import s_at
 from test_orthogonal import REFERENCE_TYPES
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
@@ -385,13 +385,13 @@ def interval_rd_by_definition(m_pair: int, n_pair: int, t: int, scale: int) -> t
     L = data.length
     rows = []
     for l in range(L + 1):
-        lo, hi = data.s_at(l + 1), data.s_at(l)
+        lo, hi = s_at(data, l + 1), s_at(data, l)
         if l % 2 == 1 and l < L:
             if lo <= t <= hi:
                 rows.append((scale * data.fb_at(l), f"closed(l={l})"))
         elif lo < t < hi:
             rows.append((scale * data.fb_at(l) - 1, f"open(l={l})"))
-    if L % 2 == 1 and t == data.s_at(L):
+    if L % 2 == 1 and t == s_at(data, L):
         rows.append((scale * (data.fb_at(L) - data.fb_at(L - 1)), f"tail(l={L})"))
     assert len(rows) == 1, (m_pair, n_pair, t, rows)
     return rows[0]
@@ -619,9 +619,9 @@ class TestMembershipCharacterizations:
                     se = set(se_oracle(at, Vertex(0, t), 30))
                     for i in range(1, 31):
                         if i % 2 == 0:
-                            expected = rem((i // 2) * m, n) < t
+                            expected = (i // 2) * m % n < t
                         else:
-                            expected = rem((i // 2) * m, n) >= n - t
+                            expected = (i // 2) * m % n >= n - t
                         assert (i in se) == expected, (m, n, t, i)
 
     def test_twisted_type_a_rule(self):
@@ -634,9 +634,7 @@ class TestMembershipCharacterizations:
                 for t in range(1, m // 2 + 1):
                     se = set(se_oracle(at, Vertex(0, t), 30))
                     for r in range(1, 31):
-                        expected = rem(r * big_m, big_n) < t or rem(
-                            (r - 1) * big_m, big_n
-                        ) >= big_n - t
+                        expected = r * big_m % big_n < t or (r - 1) * big_m % big_n >= big_n - t
                         assert (r in se) == expected, (rank, u, t, r)
 
     def test_type_d_tail_rule(self):
@@ -648,7 +646,7 @@ class TestMembershipCharacterizations:
                     for t in range(1, m):
                         se = set(se_oracle(at, Vertex(0, t), 30))
                         for r in range(1, 31):
-                            expected = rem(r * m, n) < t or rem((r - 1) * m, n) >= n - t
+                            expected = r * m % n < t or (r - 1) * m % n >= n - t
                             assert (r in se) == expected, (m, u, s, t, r)
 
 
@@ -661,16 +659,16 @@ class TestDivisorStructure:
                 fb1 = data.fb_at(1)
                 if n % m == 0:
                     for r in range(1, 3 * fb1 + 2):
-                        small = rem(r * m, n) < m
+                        small = r * m % n < m
                         assert small == (r % fb1 == 0), (m, n, r)
                         if small:
-                            assert rem(r * m, n) == 0
+                            assert r * m % n == 0
                 else:
                     fb2 = data.fb_at(2)
                     k2 = data.k[1]
                     hits = {p * fb1 + 1 for p in range(1, k2 + 1)}
                     for r in range(1, fb1 + fb2):
-                        assert (rem(r * m, n) < m) == (r in hits), (m, n, r)
+                        assert (r * m % n < m) == (r in hits), (m, n, r)
 
 
 class TestEndpointScan:
