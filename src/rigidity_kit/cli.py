@@ -32,6 +32,7 @@ from .orthogonal import rigdim_closed, rigdim_verify
 from .quiver import (
     SPINE_MINUS,
     SPINE_PLUS,
+    _U_PATTERN,
     AlgebraType,
     Vertex,
     hammock_dot,
@@ -43,8 +44,6 @@ from .rigidity import RigidityReport, agreement, rd_closed, rd_oracle, sweep_typ
 
 __all__ = ["build_parser", "main", "parse_label", "parse_u"]
 
-# matched in full, in ASCII digits: a natural number or a fraction with a nonzero denominator
-_U_PATTERN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 _INT_PATTERN = re.compile(r"-?[0-9]+")  # a negative label, rank or bound meets its own check
 
 

@@ -13,7 +13,8 @@ orbit vertex is placed by one rotation, and rotating every label by k
 slices is one cyclic rotation by k.L bits.  omega^2 fixes every label, so
 omega^(j+2q)(v) = omega^j(v) + (qD, 0) for the two phases j = 1, 2; each
 phase ORs in its pattern's rotations by qD through binary doubling, so a
-certificate does O(log r) rotations of one integer and no omega walk.
+certificate does O(log r) rotations of one integer and no omega walk.  One
+table per type, memoised for the last, holds what depends on the type alone.
 
 The closed-form rigidity dimensions cover the three families where a
 single orbit does certify: the two type-A families, the twisted type-A
@@ -25,25 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .quiver import (
-    AlgebraType,
-    Label,
-    Vertex,
-    hammock_incidence,
-    omega,
-    orbit_offsets,
-    tau,
-)
+from .quiver import AlgebraType, Vertex, _omega_steps, hammock_incidence, orbit_offsets
 from .rigidity import rd_closed
 
-__all__ = [
-    "OrthogonalityCertificate",
-    "RigdimFormula",
-    "RigdimVerification",
-    "is_maximal_orthogonal",
-    "rigdim_closed",
-    "rigdim_verify",
-]
+__all__ = ["OrthogonalityCertificate", "RigdimFormula", "RigdimVerification",
+           "is_maximal_orthogonal", "rigdim_closed", "rigdim_verify"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +54,11 @@ class OrthogonalityCertificate:
     stability_ok: bool
     gaps: int = field(repr=False)
 
+    def __init__(self, atype, generator_vertex, r, is_maximal, stability_ok, gaps) -> None:
+        # one dict update, not an object.__setattr__ per field as in the generated frozen __init__
+        self.__dict__.update(atype=atype, generator_vertex=generator_vertex, r=r,
+                             is_maximal=is_maximal, stability_ok=stability_ok, gaps=gaps)
+
     @cached_property
     def uncovered(self) -> tuple[Vertex, ...]:
         labels = self.atype.diagram.labels
@@ -77,64 +69,56 @@ class OrthogonalityCertificate:
         return tuple(Vertex(x, labels[k]) for x, k in hits)
 
 
+# maxsize=1: callers certify one type's labels in a row.  Keyed on plain values, like
+# rigidity's closed plan, so a warm call runs no AlgebraType __hash__ or __eq__.
 @lru_cache(maxsize=1)
-def _orbit_covers(atype: AlgebraType) -> dict[Label, tuple[int, int]]:
-    """Per label t, the forward-hammock cover and the cells of the orbit of (0, t).
+def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int, dict]:
+    """The type's period, label count L, full mask and, per label t, the row (orbit, phases).
 
-    Both are laid out as the certificate's cover; the cover ORs each orbit
-    representative's ``hammock_incidence``, folded modulo the period and rotated
-    to it.  Memoised for the last type only.
+    ``orbit`` holds the cells of the orbit of (0, t).  Phase j = 1, 2 is (dx, pattern, k)
+    for omega^j(0, t) = (dx, labels[k]), read off the omega table, with the cover pattern
+    of labels[k]: the OR of each orbit representative's ``hammock_incidence``, folded
+    modulo the period once per label and rotated to the representative.
     """
-    diagram = atype.diagram
-    period, width = atype.period, len(diagram.labels)
+    atype = AlgebraType.from_shift(family, rank, n, s)
+    labels = atype.diagram.labels
+    period, width = atype.period, len(labels)
     size = width * period
     full = (1 << size) - 1
-    incidence = hammock_incidence(diagram)
-    out = {}
+    index = dict(zip(labels, range(width)))
+    folded = {}
+    for c, bits in hammock_incidence(atype.diagram).items():
+        while bits > full:  # slice i lands on i mod period
+            bits = bits & full | bits >> size
+        folded[c] = bits
+    cells = {}
     for t, reps in orbit_offsets(atype).items():
-        cover = orbit = 0
+        pattern = orbit = 0
         for c, dx in reps:
-            bits = incidence[c]
-            while bits > full:  # slice i lands on i mod period
-                bits = bits & full | bits >> size
-            k = -dx % period * width
-            cover |= (bits << k | bits >> size - k) & full
-            orbit |= 1 << (k + diagram.labels.index(c))
-        out[t] = cover, orbit
-    return out
+            k, bits = -dx % period * width, folded[c]
+            pattern |= (bits << k | bits >> size - k) & full
+            orbit |= 1 << (k + index[c])
+        cells[t] = orbit, (pattern, index[t])
+    steps, rows = _omega_steps(family, rank), {}
+    for t, (orbit, own) in cells.items():
+        dx, t1 = steps[t]  # and omega^2 fixes t
+        rows[t] = orbit, ((dx, *cells[t1][1]), (dx + steps[t1][0], *own))
+    return period, width, full, rows
 
 
-def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> OrthogonalityCertificate:
-    """Certify whether the orbit of v is a maximal r-orthogonal subset.
-
-    A vertex z lies in the forward hammock of omega^i(w) for some w in the
-    orbit of v precisely when some group translate of omega^i(v) lies in
-    the backward hammock of z, so the check is one bit mask modulo the
-    period.  omega^(j+2q)(v) is omega^j(v) translated by qD (D read off two
-    ``omega`` calls), so the work grows with log r, not r.
-    """
-    if type(r) is not int or r < 0:
-        raise ValueError(f"orthogonality degree must be a non-negative int, got {r!r}")
-    diagram = atype.diagram
-    diagram.check_vertex(v)
-    covers = _orbit_covers(atype)
-    period, width = atype.period, len(diagram.labels)
-    size = width * period
-    full = (1 << size) - 1
-
-    first = omega(diagram, v)
-    phases = (first, omega(diagram, first))
-    shift = phases[1].x - v.x
+def _cover(table: tuple, phases: tuple, x: int, r: int) -> int:
+    """One generator's cover, from omega^1..r of the orbit of (x, t); ``phases`` is t's row's."""
+    period, width, full, _ = table
+    size, shift = width * period, phases[1][0]
     cover = 0
-    for j, w in enumerate(phases, 1):
+    for j, (dx, pattern, _) in enumerate(phases, 1):
         count = (r - j) // 2 + 1  # the degrees j, j + 2, ... up to r
         if count <= 0:
             continue
-        # the OR of the rotations by -(w.x + q.shift) slices, q < count: binary
+        # the OR of the rotations by -(x + dx + q.shift) slices, q < count: binary
         # doubling upwards over count - 1 - q (short integers until they wrap),
         # count's set bits picking the blocks, then one turn puts them in place
-        pattern = covers[w.t][0]
-        turn = -(w.x + (count - 1) * shift) % period * width
+        turn = -(x + dx + (count - 1) * shift) % period * width
         step = shift % period * width
         swept = offset = 0
         while count:
@@ -146,20 +130,38 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
                 pattern |= (pattern << step | pattern >> size - step) & full
                 step = 2 * step % size
         cover |= (swept << turn | swept >> size - turn) & full
+    return cover
+
+
+def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> OrthogonalityCertificate:
+    """Certify whether the orbit of v is a maximal r-orthogonal subset.
+
+    A vertex z lies in the forward hammock of omega^i(w) for some w in the
+    orbit of v precisely when some group translate of omega^i(v) lies in
+    the backward hammock of z, so the check is one bit mask modulo the
+    period.  omega^(j+2q)(v) is omega^j(v) translated by qD (D and the
+    phases read off the omega table), so the work grows with log r, not r.
+    """
+    if type(r) is not int or r < 0:
+        raise ValueError(f"orthogonality degree must be a non-negative int, got {r!r}")
+    diagram = atype.diagram
+    table = _cover_table(diagram.family, diagram.rank, atype.s, atype.n)
+    period, width, full, rows = table
+    row = rows.get(v.t) if type(v.t) in (int, str) else None
+    if row is None or type(v.x) is not int:
+        diagram.check_vertex(v)  # raises
+    orbit, phases = row
 
     # maximal: exactly the vertices off the orbit are covered, so once the
     # orbit is toggled in, every bit should be set
-    orbit, k = covers[v.t][1], -v.x % period * width
-    orbit = (orbit << k | orbit >> size - k) & full
-    gaps = full ^ cover ^ orbit
+    k = -v.x % period * width
+    gaps = full ^ _cover(table, phases, v.x, r) ^ (orbit << k | orbit >> width * period - k) & full
 
-    # tau.omega^r(v), with omega^r(v) for r > 0 by the same phase formula
-    w = phases[1 - r % 2]
-    end = tau(Vertex(w.x + (r - 1) // 2 * shift, w.t) if r else v)
-    stable = orbit >> (-end.x % period * width + diagram.labels.index(end.t)) & 1
-    return OrthogonalityCertificate(
-        atype, v, r, is_maximal=not gaps, stability_ok=bool(stable), gaps=gaps
-    )
+    # tau.omega^r(v) lies (dx + 1, labels[end]) from v, omega^r(v) by the phase
+    # formula, which at r = 0 reads j = 2 and q = -1
+    dx, _, end = phases[1 - r % 2]
+    stable = orbit >> (-(dx + (r - 1) // 2 * phases[1][0] + 1) % period * width + end) & 1
+    return OrthogonalityCertificate(atype, v, r, not gaps, bool(stable), gaps)
 
 
 @dataclass(frozen=True)
@@ -242,16 +244,10 @@ def rigdim_verify(atype: AlgebraType) -> RigdimVerification:
         raise ValueError(
             f"type {atype.describe()} is outside the closed-form rigidity-dimension families"
         )
-    base = Vertex(0, 1)
     # every family's labels start with 1, the generating label
     all_rds = [rd_closed(atype, t).rd for t in atype.diagram.labels]
-    rd_base = all_rds[0]
-    certificate = is_maximal_orthogonal(atype, base, formula.r)
-    return RigdimVerification(
-        atype=atype,
-        formula=formula,
-        rd_matches=rd_base == formula.r,
-        rd_is_max=max(all_rds) == formula.r == rd_base,
-        certificate=certificate,
-        bridge_ok=formula.rigdim == formula.r + 2,
-    )
+    r = formula.r
+    return RigdimVerification(atype, formula, rd_matches=all_rds[0] == r,
+                              rd_is_max=max(all_rds) == r == all_rds[0],
+                              certificate=is_maximal_orthogonal(atype, Vertex(0, 1), r),
+                              bridge_ok=formula.rigdim == r + 2)

@@ -31,6 +31,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -66,6 +67,8 @@ SPINE_MINUS = "m-"
 Label = Union[int, str]
 
 _E_H_STAR = {6: 6, 7: 9, 8: 15}
+# u spelled in full in ASCII digits: a natural number or a fraction with a nonzero denominator
+_U_PATTERN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _label_key(t: Label) -> tuple[int, int]:
@@ -309,6 +312,8 @@ class AlgebraType:
         diagram = _diagram(family, rank)
         if type(u) not in (Fraction, int, str):
             raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
+        if type(u) is str and not _U_PATTERN.fullmatch(u.removeprefix("-")):  # -1 meets u > 0
+            raise ValueError(f"u must be an exact rational like '17/8', got {u!r}")
         frac = Fraction(u)
         n, rest = divmod(frac.numerator * diagram.m_delta, frac.denominator)
         if rest:

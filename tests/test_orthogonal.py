@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,6 +12,7 @@ import pytest
 from rigidity_kit import (
     SPINE_PLUS,
     AlgebraType,
+    Diagram,
     Vertex,
     group_generator,
     group_member,
@@ -278,16 +281,50 @@ DIFFERENTIAL_TYPES = (
 )
 
 
+def reference_gaps(atype, uncovered):
+    """The violations laid out as the certificate's cover: (x, labels[k]) is bit (-x % p).L + k."""
+    labels = atype.diagram.labels
+    return sum(1 << (-z.x % atype.period * len(labels) + labels.index(z.t)) for z in uncovered)
+
+
+def assert_matches_per_label_reference(atype, v, r):
+    cert = is_maximal_orthogonal(atype, v, r)
+    want = per_label_certificate(atype, v, r)
+    assert outcome(cert) == want, (v, r)
+    assert cert.gaps == reference_gaps(atype, want[1]), (v, r)
+
+
 @pytest.mark.parametrize("atype", DIFFERENTIAL_TYPES, ids=lambda at: at.describe())
 def test_certificate_matches_per_label_reference(atype):
     # the one-integer cover against one mask per label, around rd at every label
     for t in atype.diagram.labels:
         rd = rd_closed(atype, t).rd
         for x in (0, 5):
-            v = Vertex(x, t)
             for r in (rd - 1, rd, rd + 1):
-                got = outcome(is_maximal_orthogonal(atype, v, r))
-                assert got == per_label_certificate(atype, v, r), (t, x, r)
+                assert_matches_per_label_reference(atype, Vertex(x, t), r)
+
+
+# the families and twists DIFFERENTIAL_TYPES lacks: D4 with twist order 3, fractional D6
+# and D9, E6 with twist order 2, and E8, each at small and larger periods
+FIXED_DEGREE_TYPES = (
+    [AlgebraType.create("D", 4, u, 3) for u in (1, 2, 7)]
+    + [AlgebraType.create("D", 6, Fraction(v, 3), 1) for v in (1, 4, 11)]
+    + [AlgebraType.create("D", 9, Fraction(v, 3), 1) for v in (2, 5)]
+    + [AlgebraType.create("E", 6, u, 2) for u in (1, 4)]
+    + [AlgebraType.create("E", 8, u, 1) for u in (1, 3)]
+)
+
+
+@pytest.mark.parametrize("atype", FIXED_DEGREE_TYPES, ids=lambda at: at.describe())
+def test_certificate_matches_per_label_reference_at_fixed_degrees(atype):
+    # both omega^2 phases from their first degree on, rd, a period either side, and
+    # degrees past 10**12 of either parity, at negative and positive x
+    p = atype.period
+    for t in atype.diagram.labels:
+        rd = rd_closed(atype, t).rd
+        for x in (-7, 0, 4):
+            for r in (0, 1, 2, rd, p - 1, p + 1, 10**12, 10**12 + 1, 10**12 + 2 * p + 3):
+                assert_matches_per_label_reference(atype, Vertex(x, t), r)
 
 
 def test_per_type_memo_is_invisible():
@@ -299,9 +336,115 @@ def test_per_type_memo_is_invisible():
         for atype in types:
             warm[atype, t] = outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30))
     for (atype, t), got in warm.items():
-        orthogonal._orbit_covers.cache_clear()
+        orthogonal._cover_table.cache_clear()
         assert outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30)) == got, (atype, t)
         assert got == per_label_certificate(atype, Vertex(2, t), 30), (atype, t)
+
+
+def test_an_equal_type_hits_the_table():
+    # the memo keys on (family, rank, s, n), so an equal type on a fresh diagram reads it too
+    made = AlgebraType.create("D", 6, Fraction(7, 3))
+    direct = AlgebraType(Diagram("D", 6), 1, 21)
+    assert direct == made and direct is not made and direct.diagram is not made.diagram
+    orthogonal._cover_table.cache_clear()
+    first = is_maximal_orthogonal(made, Vertex(-2, SPINE_PLUS), 9)
+    second = is_maximal_orthogonal(direct, Vertex(-2, SPINE_PLUS), 9)
+    info = orthogonal._cover_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first == second and first.gaps == second.gaps
+
+
+def test_a_label_sweep_builds_each_table_once(monkeypatch):
+    builds = Counter()
+    build = orthogonal._cover_table.__wrapped__
+
+    def counted(*key):
+        builds[key] += 1
+        return build(*key)
+
+    monkeypatch.setattr(orthogonal, "_cover_table", lru_cache(maxsize=1)(counted))
+    types = [NAKAYAMA_17_9, AlgebraType.create("D", 4, 2, 3), AlgebraType.create("E", 6, 2, 2),
+             AlgebraType.create("D", 9, Fraction(5, 3))]
+    for atype in types:
+        for t in atype.diagram.labels:
+            for x, r in ((0, 0), (3, 1), (-4, 8), (1, 10**12)):
+                is_maximal_orthogonal(atype, Vertex(x, t), r)
+    assert builds == Counter(
+        {(at.diagram.family, at.diagram.rank, at.s, at.n): 1 for at in types}
+    )
+
+
+def test_a_warm_certificate_builds_no_vertex(monkeypatch):
+    atype = AlgebraType.create("E", 6, 2, 2)
+    v = Vertex(-3, 2)
+    is_maximal_orthogonal(atype, v, 11)
+    built = []
+    vertex_init = Vertex.__init__
+
+    def counted(self, x, t):
+        built.append((x, t))
+        vertex_init(self, x, t)
+
+    monkeypatch.setattr(Vertex, "__init__", counted)
+    cert = is_maximal_orthogonal(atype, v, 11)
+    assert built == []
+    assert len(cert.uncovered) == len(built) > 0  # uncovered builds its vertices when read
+
+
+# every family and twist order, fractional D included, and both parities of the D fork
+EVERY_TWIST = [
+    AlgebraType.create("A", 4, 2, 1), AlgebraType.create("A", 1, 3, 1),
+    AlgebraType.create("A", 5, 2, 2), AlgebraType.create("D", 5, 2, 1),
+    AlgebraType.create("D", 6, 1, 1), AlgebraType.create("D", 6, Fraction(4, 3), 1),
+    AlgebraType.create("D", 5, 1, 2), AlgebraType.create("D", 4, 2, 3),
+    AlgebraType.create("E", 6, 1, 1), AlgebraType.create("E", 6, 1, 2),
+    AlgebraType.create("E", 7, 1, 1), AlgebraType.create("E", 8, 1, 1),
+]
+
+
+@pytest.mark.parametrize("atype", EVERY_TWIST, ids=lambda at: at.describe())
+def test_table_rows_match_omega_and_tau_applied_literally(atype):
+    d = atype.diagram
+    labels, p = d.labels, atype.period
+    period, width, full, rows = orthogonal._cover_table(d.family, d.rank, atype.s, atype.n)
+    assert (period, width, full) == (p, len(labels), (1 << p * len(labels)) - 1)
+    assert list(rows) == list(labels)
+    for t in labels:
+        orbit, phases = rows[t]
+        cells = {(-x % p * width + labels.index(c)) for c, x in orbit_residues(atype, Vertex(0, t))}
+        assert orbit == sum(1 << cell for cell in cells), t
+        w = Vertex(0, t)
+        for dx, pattern, k in phases:  # omega^1 and omega^2 of (0, t), with their labels' patterns
+            w = omega(d, w)
+            assert w == Vertex(dx, labels[k]), t
+            assert pattern == rows[labels[k]][1][1][1], t
+        assert phases[1][2] == labels.index(t)  # omega^2 fixes every label
+        # the end vertex tau.omega^r(0, t) as the certificate reads it off the phases
+        w = Vertex(0, t)
+        for r in range(2 * p + 4):
+            dx, _, end = phases[1 - r % 2]
+            assert Vertex(dx + (r - 1) // 2 * phases[1][0] + 1, labels[end]) == tau(w), (t, r)
+            w = omega(d, w)
+
+
+def test_certificate_object():
+    cert = is_maximal_orthogonal(NAKAYAMA_17_9, Vertex(0, 1), 29)
+    fields = [f.name for f in dataclasses.fields(cert)]
+    assert fields == ["atype", "generator_vertex", "r", "is_maximal", "stability_ok", "gaps"]
+    assert repr(cert) == (
+        f"OrthogonalityCertificate(atype={NAKAYAMA_17_9!r}, generator_vertex=Vertex(x=0, t=1), "
+        f"r=29, is_maximal=False, stability_ok={cert.stability_ok!r})"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.r = 30
+    again = orthogonal.OrthogonalityCertificate(
+        NAKAYAMA_17_9, Vertex(0, 1), 29, is_maximal=False, stability_ok=cert.stability_ok,
+        gaps=cert.gaps,
+    )
+    assert again == cert and hash(again) == hash(cert)
+    assert cert.uncovered is cert.uncovered and cert.uncovered == again.uncovered
+    assert again == cert  # a read of uncovered changes no field
+    assert dataclasses.replace(cert, r=30) != cert
 
 
 class TestHalfLineFamily:

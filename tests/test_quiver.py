@@ -483,6 +483,33 @@ class TestAlgebraTypeValidation:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "u", ["\u0663", "1_0", " 3 ", "+3", "1e2", "3/0", "2.5", "", "3\n", "--3", "-1e2", "3 / 4",
+              "5/\u0663"],
+        ids=repr,
+    )
+    def test_str_u_outside_the_cli_spelling_raises(self, u):
+        # Fraction parses all of these but "", "--3" and "3 / 4", and raises ZeroDivisionError on "3/0"
+        with pytest.raises(ValueError) as info:
+            AlgebraType.create("A", 3, u)
+        assert str(info.value) == f"u must be an exact rational like '17/8', got {u!r}"
+
+    @pytest.mark.parametrize(
+        "rank,u", [(3, "3"), (3, "03"), (8, "17/8"), (3, "6/2"), (3, "3/06"), (8, "17/7"),
+                   (3, "0"), (3, "-3"), (3, "-3/4"), (3, "-0")],
+        ids=repr,
+    )
+    def test_str_u_in_the_cli_spelling_reads_as_a_fraction(self, rank, u):
+        # a leading minus is let through, so that a negative u meets the sign check
+        assert validation_outcome(AlgebraType.create, "A", rank, u) == validation_outcome(
+            reference_create, "A", rank, u
+        )
+
+    def test_create_and_the_cli_share_the_u_spelling(self):
+        from rigidity_kit import cli
+
+        assert cli._U_PATTERN is quiver._U_PATTERN
+
 
 def reference_validate(diagram, s, n):
     """``AlgebraType.__post_init__`` as written in ``Fraction`` arithmetic: the fields it keeps, and u."""
