@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .quiver import AlgebraType, Vertex, _omega_steps, hammock_incidence, orbit_offsets
+from .quiver import AlgebraType, Vertex, _diagram, _omega_steps, _orbit_offsets, hammock_incidence
 from .rigidity import rd_closed
 
 __all__ = ["OrthogonalityCertificate", "RigdimFormula", "RigdimVerification",
@@ -80,19 +80,19 @@ def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int,
     of labels[k]: the OR of each orbit representative's ``hammock_incidence``, folded
     modulo the period once per label and rotated to the representative.
     """
-    atype = AlgebraType.from_shift(family, rank, n, s)
-    labels = atype.diagram.labels
-    period, width = atype.period, len(labels)
+    diagram = _diagram(family, rank)
+    labels = diagram.labels
+    period, width = s * n, len(labels)
     size = width * period
     full = (1 << size) - 1
     index = dict(zip(labels, range(width)))
     folded = {}
-    for c, bits in hammock_incidence(atype.diagram).items():
+    for c, bits in hammock_incidence(diagram).items():
         while bits > full:  # slice i lands on i mod period
             bits = bits & full | bits >> size
         folded[c] = bits
     cells = {}
-    for t, reps in orbit_offsets(atype).items():
+    for t, reps in _orbit_offsets(family, rank, s, n).items():
         pattern = orbit = 0
         for c, dx in reps:
             k, bits = -dx % period * width, folded[c]

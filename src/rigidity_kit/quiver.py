@@ -9,11 +9,12 @@ of vertices, and one DOT writer for hammocks and orbit quivers.
 Each diagram's integer geometry is cached per diagram, never per algebra
 type: the omega and phi step tables, which ``omega`` and ``phi`` index, and
 every backward hammock, knitted in one pass on byte lanes by ``_knit_lanes``,
-which holds that cache.  The lanes are read by label for the oracle and
-``hammock_minus`` (``hammock_columns``), by cell for the certificate
-(``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
-since z lies in H+(v) exactly when v lies in H-(z).  Only ``orbit_offsets``
-depends on the type, composed on the phi table; it keeps the last type alone.
+which holds that cache.  The lanes are read one cell of one label at a time
+for the oracle (``_hammock_column``), which builds ``hammock_columns`` for
+``hammock_minus``, by cell for the certificate (``hammock_incidence``) and by
+cell as forward hammocks for ``hammock_plus``, since z lies in H+(v) exactly
+when v lies in H-(z).  Only the orbit offsets depend on the type, composed on
+the phi table and keyed on (family, rank, s, n); they keep the last type alone.
 An algebra type is the triple (diagram, s, n), with its u = n / m_delta
 derived; its constructors take one interned ``Diagram`` per (family, rank),
 validated once.
@@ -391,23 +392,27 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
 
-@lru_cache(maxsize=1)
 def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
+    """``_orbit_offsets`` of the type; shared by every caller, so never mutate it."""
+    diagram = atype.diagram
+    return _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
+
+
+# maxsize=1: callers go through one type's labels in a row; plain keys hash in C
+@lru_cache(maxsize=1)
+def _orbit_offsets(family: str, rank: int, s: int, n: int) -> dict:
     """The orbit representatives of (0, t) for every label t, as pairs (t', dx).
 
     Powers 0..s-1 of ``tau^n . phi``, composed on the phi table: each adds n
     to the phi step of the label reached.  As phi commutes with tau, the
     orbit of (x, t) is the translates by period-multiples of the vertices
-    (x + dx, t').  Memoised for the last type only, since callers go through
-    one type's labels in a row; the returned dict is shared by every caller
-    of the cache, so never mutate it.
+    (x + dx, t').  Shared by the oracle walk and the certificate; never mutate it.
     """
-    diagram, n = atype.diagram, atype.n
-    steps = _phi_steps(diagram.family, diagram.rank, atype.s)
+    steps = _phi_steps(family, rank, s)
     offsets = {}
-    for t in diagram.labels:
+    for t in _structure(family, rank)[0]:
         orbit = [(t, 0)]
-        for _ in range(atype.s - 1):
+        for _ in range(s - 1):
             dx, c = steps[orbit[-1][0]]
             orbit.append((c, orbit[-1][1] + dx + n))
         offsets[t] = tuple(orbit)
@@ -484,18 +489,26 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     return tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
 
 
+@lru_cache(maxsize=None)
+def _hammock_column(family: str, rank: int, t: Label, c: Label) -> tuple[int, ...]:
+    """The dx, ascending, with (dx, c) in the backward hammock of (0, t): lane t of cell c
+    of ``_knit_lanes``.  Shared by every type of the diagram; callers check t and c.
+    """
+    labels = _structure(family, rank)[0]
+    lanes = _knit_lanes(family, rank)
+    return tuple(compress(count(), lanes[labels.index(c)][labels.index(t)::len(labels)]))
+
+
 @lru_cache(maxsize=None, typed=True)
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
 
-    Read from lane t of ``_knit_lanes``; labels the hammock misses have no
-    entry.  Shared by every caller; never mutate it.
+    Read cell by cell from ``_hammock_column``; labels the hammock misses
+    have no entry.  Shared by every caller; never mutate it.
     """
     diagram.check_label(t)
-    labels = diagram.labels
-    n, k = len(labels), labels.index(t)
-    lanes = _knit_lanes(diagram.family, diagram.rank)
-    return {c: dxs for c, m in zip(labels, lanes) if (dxs := tuple(compress(count(), m[k::n])))}
+    family, rank = diagram.family, diagram.rank
+    return {c: dxs for c in diagram.labels if (dxs := _hammock_column(family, rank, t, c))}
 
 
 @lru_cache(maxsize=None)

@@ -16,11 +16,12 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
   the omega period, since the base vertex lies in its own hammock; aimed at
-  the vertex alone, the same capped walk gives ``omega_period``.  For each
-  label it reaches, the walk builds once per call the set of x-offsets mod
-  period, relative to the base, at which a vertex of that label meets the
-  target, from its columns and the orbit offsets; each step is one
-  ``omega`` table lookup and one set test.
+  the vertex alone, the same capped walk gives ``omega_period``.  omega^2
+  fixes every label, so the walk reaches at most two; for each, it builds
+  once per call the set of x-offsets mod period, relative to the base, at
+  which a vertex of that label meets the target, reading only the target
+  cells of its s orbit offsets.  Each step is one ``omega`` table lookup
+  and one set test.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -36,15 +37,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
-from .quiver import (
-    AlgebraType,
-    Label,
-    Vertex,
-    _diagram,
-    hammock_columns,
-    omega,
-    orbit_offsets,
-)
+from .quiver import AlgebraType, Label, Vertex, _diagram, _hammock_column, _orbit_offsets, omega
 
 __all__ = [
     "RigidityReport",
@@ -306,23 +299,23 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
 
 
 def _omega_walk(
-    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]], bound: int
+    atype: AlgebraType, v: Vertex, column: Callable[[Label], tuple[int, ...]], bound: int
 ) -> Iterator[int]:
     """Yield each i in [1, bound] at which the i-th omega shift of v meets the target.
 
-    The target is ``columns`` placed at v: the vertices (v.x + dx, c) with dx
-    in ``columns[c]``, as ``hammock_columns`` gives them for the hammock of v.
-    Degree i is a hit when some group translate of w, the i-th omega shift
-    of v, lands in the target.  The orbit of w is the translates by
-    period-multiples of (w.x + ox, c) over the orbit offsets of w.t, so that
-    holds exactly when (w.x - v.x) mod period is some dx - ox with dx in the
-    target's column of c.  Those residues are built once per label the walk
-    reaches; each step is then one ``omega`` call and one set test.  Callers
-    check the label of v before they build a target keyed by it.
+    The target is read cell by cell and placed at v: it holds the vertices
+    (v.x + dx, c) with dx in ``column(c)``, as ``_hammock_column`` gives them
+    for the hammock of v.  Degree i is a hit when some group translate of w,
+    the i-th omega shift of v, lands in the target.  The orbit of w is the
+    translates by period-multiples of (w.x + ox, c) over the orbit offsets
+    of w.t, so that holds exactly when (w.x - v.x) mod period is some dx - ox
+    with dx in ``column(c)``.  Those residues are built on the first step
+    that reaches a label, from s cells; omega^2 fixes every label, so a walk
+    reads at most 2s.  Callers check the label of v before they aim at it.
     """
     diagram = atype.diagram
     period = atype.period
-    offsets = orbit_offsets(atype)
+    offsets = _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
     residue_sets: dict[Label, frozenset[int]] = {}
     w = v
     for i in range(1, bound + 1):
@@ -330,18 +323,18 @@ def _omega_walk(
         residues = residue_sets.get(w.t)
         if residues is None:
             residues = residue_sets[w.t] = frozenset(
-                (dx - ox) % period for c, ox in offsets[w.t] for dx in columns.get(c, ())
+                (dx - ox) % period for c, ox in offsets[w.t] for dx in column(c)
             )
         if (w.x - v.x) % period in residues:
             yield i
 
 
 def _first_hit(
-    atype: AlgebraType, v: Vertex, columns: dict[Label, tuple[int, ...]], failure: str
+    atype: AlgebraType, v: Vertex, column: Callable[[Label], tuple[int, ...]], failure: str
 ) -> int:
     """First hit of ``_omega_walk``; past a step cap, ``RuntimeError`` of ``failure.format(v)``."""
     cap = 4 * atype.s * atype.n * (atype.diagram.m_delta + 1)
-    for i in _omega_walk(atype, v, columns, cap):
+    for i in _omega_walk(atype, v, column, cap):
         return i
     raise RuntimeError(f"{failure.format(v)} within {cap} steps")
 
@@ -352,14 +345,16 @@ def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    atype.diagram.check_vertex(v)
-    return tuple(_omega_walk(atype, v, hammock_columns(atype.diagram, v.t), horizon))
+    diagram = atype.diagram
+    diagram.check_vertex(v)
+    column = partial(_hammock_column, diagram.family, diagram.rank, v.t)
+    return tuple(_omega_walk(atype, v, column, horizon))
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
     """Smallest p >= 1 with omega^p(v) in the orbit of v: the walk's first return to v."""
     atype.diagram.check_vertex(v)
-    return _first_hit(atype, v, {v.t: (0,)}, "omega orbit of {} did not close")
+    return _first_hit(atype, v, lambda c: (0,) if c == v.t else (), "omega orbit of {} did not close")
 
 
 def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
@@ -370,10 +365,10 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     most the omega period of v, because v lies in its own hammock; a walk
     past the cap of ``_first_hit`` raises ``RuntimeError``.
     """
-    atype.diagram.check_vertex(v)
-    i = _first_hit(
-        atype, v, hammock_columns(atype.diagram, v.t), "omega walk of {} met no self-extension"
-    )
+    diagram = atype.diagram
+    diagram.check_vertex(v)
+    column = partial(_hammock_column, diagram.family, diagram.rank, v.t)
+    i = _first_hit(atype, v, column, "omega walk of {} met no self-extension")
     return RigidityReport(atype, v, i - 1, None, i)
 
 

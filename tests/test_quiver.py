@@ -842,7 +842,7 @@ def reference_knit_profile(family, rank, t0, forward):
 @pytest.fixture
 def cold_hammocks():
     """Empty every hammock cache before and after the test."""
-    caches = (quiver._knit_lanes, hammock_columns, hammock_incidence)
+    caches = (quiver._knit_lanes, quiver._hammock_column, hammock_columns, hammock_incidence)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -925,6 +925,7 @@ class TestKnitKernel:
         monkeypatch.setattr(quiver, "_knit_plan", counted)
         d = Diagram("D", 12)
         for t in d.labels:
+            quiver._hammock_column("D", 12, t, SPINE_MINUS)
             hammock_columns(d, t)
         hammock_incidence(d)
         hammock_minus(d, Vertex(4, SPINE_PLUS))
@@ -938,6 +939,18 @@ class TestKnitKernel:
         d = Diagram(family, rank)
         for t, forward, profile in all_profiles(d):
             assert len(profile) == d.h_star, (t, forward)
+
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))]
+    )
+    def test_cell_reader_matches_columns(self, family, ranks):
+        for rank in ranks:
+            d = Diagram(family, rank)
+            for t in d.labels:
+                columns = hammock_columns(d, t)
+                for c in d.labels:
+                    read = quiver._hammock_column(family, rank, t, c)
+                    assert read == columns.get(c, ()), (rank, t, c)
 
     @pytest.mark.parametrize(
         "family,ranks", [("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))]

@@ -35,7 +35,7 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
-from rigidity_kit.quiver import orbit_offsets
+from rigidity_kit.quiver import _hammock_column, _omega_steps, _orbit_offsets, orbit_offsets
 from rigidity_kit.rigidity import _closed_plan, _Staircase
 from test_euclid import s_at
 from test_orthogonal import REFERENCE_TYPES
@@ -242,7 +242,7 @@ class TestOracle:
         # an empty hammock never meets the walk; the step cap must stop it
         from rigidity_kit import rigidity
 
-        monkeypatch.setattr(rigidity, "hammock_columns", lambda d, t: {})
+        monkeypatch.setattr(rigidity, "_hammock_column", lambda family, rank, t, c: ())
         with pytest.raises(RuntimeError, match="no self-extension"):
             rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
 
@@ -523,6 +523,14 @@ small_u_types = st.one_of(
 )
 
 
+def offsets_key(at):
+    return at.diagram.family, at.diagram.rank, at.s, at.n
+
+
+def offsets_memo_agrees(at):
+    return _orbit_offsets(*offsets_key(at)) == _orbit_offsets.__wrapped__(*offsets_key(at))
+
+
 @given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
 @settings(max_examples=40, deadline=None)
 def test_orbit_offsets_memo_is_invisible(types):
@@ -531,25 +539,99 @@ def test_orbit_offsets_memo_is_invisible(types):
 
     cold = {}
     for at in types:
-        orbit_offsets.cache_clear()
-        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+        _orbit_offsets.cache_clear()
+        assert offsets_memo_agrees(at)
         reports = []
         for t in at.diagram.labels:
-            orbit_offsets.cache_clear()
+            _orbit_offsets.cache_clear()
             reports.append(report(at, t))
         cold[at] = reports
     for at in types:
         # warm: one type's labels in a row, each after the first a hit
         assert [report(at, t) for t in at.diagram.labels] == cold[at]
-        assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+        assert offsets_memo_agrees(at)
     # evicted: alternate the types label by label, so each call replaces the entry
     evicted = {at: [] for at in types}
     for k in range(max(len(at.diagram.labels) for at in types)):
         for at in types:
             if k < len(at.diagram.labels):
-                assert orbit_offsets(at) == orbit_offsets.__wrapped__(at)
+                assert offsets_memo_agrees(at)
                 evicted[at].append(report(at, at.diagram.labels[k]))
     assert evicted == cold
+
+
+def test_orbit_offsets_reads_the_plain_keyed_memo():
+    at = AlgebraType.create("D", 6, Fraction(7, 3), 1)
+    _orbit_offsets.cache_clear()
+    assert orbit_offsets(at) is _orbit_offsets(*offsets_key(at))
+    assert _orbit_offsets.cache_info().misses == 1
+
+
+@given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_cell_reader_memo_is_invisible(types):
+    def reports(at, t):
+        return rd_oracle(at, Vertex(0, t)), se_oracle(at, Vertex(3, t), 2 * at.period + 3)
+
+    # cold: every call from an empty reader memo, so no call reads a cell another read
+    cold = {}
+    for at in types:
+        cold[at] = []
+        for t in at.diagram.labels:
+            _hammock_column.cache_clear()
+            cold[at].append(reports(at, t))
+    for at in types:
+        # warm: one type's labels in a row
+        _hammock_column.cache_clear()
+        assert [reports(at, t) for t in at.diagram.labels] == cold[at]
+    # alternated: the types label by label, reading cells the others left
+    alternated = {at: [] for at in types}
+    for k in range(max(len(at.diagram.labels) for at in types)):
+        for at in types:
+            if k < len(at.diagram.labels):
+                alternated[at].append(reports(at, at.diagram.labels[k]))
+    assert alternated == cold
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", range(1, 41)), ("D", range(4, 41)), ("E", (6, 7, 8))]
+)
+def test_omega_squared_fixes_every_label(family, ranks):
+    # so a walk from t meets the labels t and omega(t) only
+    for rank in ranks:
+        steps = _omega_steps(family, rank)
+        assert all(steps[steps[t][1]][1] == t for t in steps), (family, rank)
+
+
+@pytest.mark.parametrize(
+    "at",
+    [AlgebraType.create("A", 5, 3, 2), AlgebraType.create("D", 4, 2, 3),
+     AlgebraType.create("E", 6, 2, 2), AlgebraType.create("D", 6, Fraction(4, 3), 1),
+     AlgebraType.create("D", 40, 1, 1)],
+    ids=lambda at: at.describe(),
+)
+def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
+    d = at.diagram
+    reader = _hammock_column
+    read = []
+
+    def counted(family, rank, t, c):
+        read.append((t, c))
+        return reader(family, rank, t, c)
+
+    monkeypatch.setattr(rigidity, "_hammock_column", counted)
+    for t in d.labels:
+        # the witness by literal steps, against every vertex of the hammock
+        v, period = Vertex(0, t), at.period
+        target = {(h.t, h.x % period) for h in hammock_minus(d, v)}
+        w, literal = omega(d, v), 1
+        while not any((c, (w.x + dx) % period) in target for c, dx in orbit_offsets(at)[w.t]):
+            w, literal = omega(d, w), literal + 1
+        read.clear()
+        reader.cache_clear()
+        assert rd_oracle(at, v).witness == literal, t
+        assert 0 < len(read) <= 2 * at.s, (t, read)
+        assert reader.cache_info().misses <= 2 * at.s, t
 
 
 def generator_walk(at, t):
@@ -587,7 +669,7 @@ def test_orbit_offsets_check_no_label(monkeypatch):
 
     monkeypatch.setattr(Diagram, "check_label", counted)
     for at in REFERENCE_TYPES:
-        orbit_offsets.__wrapped__(at)
+        _orbit_offsets.__wrapped__(*offsets_key(at))
     assert calls == []
 
 
