@@ -6,18 +6,20 @@ twist phi, membership in and reduction modulo the admissible group
 of the stable Hom functor, knitted on the mesh and returned as frozensets
 of vertices, and one DOT writer for hammocks and orbit quivers.
 
-Each diagram's integer geometry is cached per diagram, never per algebra
-type: the omega and phi step tables, which ``omega`` and ``phi`` index, and
-every backward hammock, knitted in one pass on byte lanes by ``_knit_lanes``,
-which holds that cache.  The lanes are read one cell of one label at a time
-for the oracle (``_hammock_column``), which builds ``hammock_columns`` for
-``hammock_minus``, by cell for the certificate (``hammock_incidence``) and by
-cell as forward hammocks for ``hammock_plus``, since z lies in H+(v) exactly
-when v lies in H-(z).  Only the orbit offsets depend on the type, composed on
-the phi table and keyed on (family, rank, s, n); they keep the last type alone.
-An algebra type is the triple (diagram, s, n), with its u = n / m_delta
-derived; its constructors take one interned ``Diagram`` per (family, rank),
-validated once.
+Each diagram's integer geometry is held per diagram, never per algebra
+type.  A ``Diagram`` carries its labels, h*, m_delta and omega step table as
+attributes set when it is validated, and ``omega`` indexes that table.  The
+phi step tables, which ``phi`` indexes, are cached per diagram and twist
+order, and every backward hammock is knitted in one pass on byte lanes by
+``_knit_lanes``, which holds that cache.  The lanes are read one cell of one
+label at a time for the oracle (``_hammock_column``), which builds
+``hammock_columns`` for ``hammock_minus``, by cell for the certificate
+(``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
+since z lies in H+(v) exactly when v lies in H-(z).  Only the orbit offsets
+depend on the type, composed on the phi table and keyed on (family, rank, s,
+n); they keep the last type alone.  An algebra type is the triple (diagram,
+s, n), with its u = n / m_delta derived; its constructors take one interned
+``Diagram`` per (family, rank), validated once.
 Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
 by ``Diagram.check_label``), not on every step; the hammock caches key on
 the label's type too, so a bool or float equal to a label meets that check.
@@ -108,7 +110,15 @@ _set_vertex_t = Vertex.t.__set__
 
 @dataclass(frozen=True)
 class Diagram:
-    """A Dynkin diagram A_r (r>=1), D_r (r>=4) or E_r (r in 6..8)."""
+    """A Dynkin diagram A_r (r>=1), D_r (r>=4) or E_r (r in 6..8).
+
+    Validation also sets the diagram's tables as plain attributes, not
+    fields, so ``==``, ``hash`` and ``repr`` read the family and rank alone:
+    ``labels``, in the order of ``Vertex.sort_key``, and their frozenset
+    ``label_set``; ``omega_steps``, the very table of ``_omega_steps``;
+    ``h_star``, the Coxeter number h for type A and half of it for D and E;
+    and ``m_delta = h - 1``.  Every caller shares them; never mutate them.
+    """
 
     family: str
     rank: int
@@ -124,25 +134,16 @@ class Diagram:
             raise ValueError(f"type D needs rank >= 4, got {self.rank}")
         if self.family == "E" and self.rank not in (6, 7, 8):
             raise ValueError(f"type E needs rank 6, 7 or 8, got {self.rank}")
-
-    @property
-    def m_delta(self) -> int:
-        """Coxeter number h minus one; h is ``h_star`` for type A, twice it for D and E."""
-        return (self.h_star if self.family == "A" else 2 * self.h_star) - 1
-
-    @property
-    def h_star(self) -> int:
-        """Coxeter number for type A, half of it for types D and E."""
-        if self.family == "A":
-            return self.rank + 1
-        if self.family == "D":
-            return self.rank - 1
-        return _E_H_STAR[self.rank]
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        """The labels, in the order of ``Vertex.sort_key``."""
-        return _structure(self.family, self.rank)[0]
+        family, rank = self.family, self.rank
+        labels, label_set = _structure(family, rank)[:2]
+        h_star = rank + 1 if family == "A" else rank - 1 if family == "D" else _E_H_STAR[rank]
+        # object.__setattr__ keeps them in the instance's inline values, which a load
+        # reads fastest; a __dict__ update would make every load go through a dict
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "omega_steps", _omega_steps(family, rank))
+        object.__setattr__(self, "h_star", h_star)
+        object.__setattr__(self, "m_delta", (h_star if family == "A" else 2 * h_star) - 1)
 
     def check_label(self, t: Label) -> None:
         """Raise ``ValueError`` unless t is one of the labels, by type and value.
@@ -150,7 +151,7 @@ class Diagram:
         A bool or a float equal to an integer label is rejected, as is a
         spine string outside type D.
         """
-        if type(t) not in (int, str) or t not in _structure(self.family, self.rank)[1]:
+        if type(t) not in (int, str) or t not in self.label_set:
             raise ValueError(f"label {t!r} is not a vertex of {self.family}{self.rank}")
 
     def check_vertex(self, v: Vertex) -> None:
@@ -220,7 +221,8 @@ def _spine_flip(t: Label) -> Label:
 def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
     """omega as a table: label t -> (dx, t') with omega(x, t) = (x + dx, t').
 
-    Shared by every caller of the cache; never mutate it.
+    Shared by every caller of the cache, each ``Diagram`` of (family, rank) as its
+    ``omega_steps`` included; never mutate it.
     """
     steps: dict[Label, tuple[int, Label]] = {}
     for t in _structure(family, rank)[0]:
@@ -238,9 +240,13 @@ def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
 
 
 def omega(diagram: Diagram, v: Vertex) -> Vertex:
-    """The syzygy automorphism of ZD in the fixed coordinates, one table lookup."""
+    """The syzygy automorphism of ZD in the fixed coordinates, one index of ``omega_steps``.
+
+    The table is the diagram's own.  A label outside it raises through
+    ``Diagram.check_label``; a bool or a float equal to a label is not checked.
+    """
     try:
-        dx, t = _omega_steps(diagram.family, diagram.rank)[v.t]
+        dx, t = diagram.omega_steps[v.t]
     except (KeyError, TypeError):  # not a label, or unhashable: check_label raises
         diagram.check_label(v.t)
         raise

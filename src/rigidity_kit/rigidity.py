@@ -317,7 +317,7 @@ def _omega_walk(
     period = atype.period
     offsets = _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
     residue_sets: dict[Label, frozenset[int]] = {}
-    w = v
+    w, x0 = v, v.x
     for i in range(1, bound + 1):
         w = omega(diagram, w)
         residues = residue_sets.get(w.t)
@@ -325,7 +325,7 @@ def _omega_walk(
             residues = residue_sets[w.t] = frozenset(
                 (dx - ox) % period for c, ox in offsets[w.t] for dx in column(c)
             )
-        if (w.x - v.x) % period in residues:
+        if (w.x - x0) % period in residues:
             yield i
 
 

@@ -1,9 +1,12 @@
 """The package's memos: a warm call hashes no Fraction, as an AlgebraType hashes on integers,
-and the constructors validate each diagram once, on an interned ``Diagram``."""
+the constructors validate each diagram once, on an interned ``Diagram``, and a diagram's
+tables are plain attributes that no comparison, hash or copy sees."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +20,7 @@ from rigidity_kit import (
     Diagram,
     Vertex,
     is_maximal_orthogonal,
+    omega,
     quiver,
     rd_closed,
     rd_oracle,
@@ -24,6 +28,7 @@ from rigidity_kit import (
     se_oracle,
     sweep_types,
 )
+from rigidity_kit.quiver import _omega_steps
 
 TYPES = [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
          AlgebraType.create("E", 7, 5, 1)]
@@ -95,6 +100,55 @@ def test_interned_types_match_types_on_a_fresh_diagram(family, rank, u, s):
         assert atype.describe() == direct.describe()
         assert atype.diagram == fresh and hash(atype.diagram) == hash(fresh)
     assert made.diagram is shifted.diagram
+
+
+def test_diagram_tables_are_not_fields():
+    assert [field.name for field in dataclasses.fields(Diagram)] == ["family", "rank"]
+    d = Diagram("D", 6)
+    assert repr(d) == "Diagram(family='D', rank=6)"
+    assert hash(d) == hash(("D", 6))  # the generated hash of the fields alone
+    assert d == quiver._diagram("D", 6) and d != Diagram("D", 7) and d != Diagram("A", 6)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 6), ("E", 6)])
+def test_copied_diagrams_keep_their_tables(family, rank):
+    d = Diagram(family, rank)
+    copies = [pickle.loads(pickle.dumps(d, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(d), copy.copy(d), dataclasses.replace(d)]
+    message = f"label 9 is not a vertex of {family}{rank}"
+    for c in copies:
+        assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+        for t in d.labels:
+            c.check_label(t)
+            assert omega(c, Vertex(3, t)) == omega(d, Vertex(3, t))
+        for call in (lambda: c.check_label(9), lambda: omega(c, Vertex(0, 9))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
+# Coxeter numbers h of E6, E7 and E8; A_r has h = r + 1 and D_r has h = 2r - 2
+E_COXETER = {6: 12, 7: 18, 8: 30}
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", range(1, 41)), ("D", range(4, 41)), ("E", range(6, 9))]
+)
+def test_fresh_and_interned_diagrams_share_their_tables(family, ranks):
+    for rank in ranks:
+        fresh, interned = Diagram(family, rank), quiver._diagram(family, rank)
+        assert fresh is not interned
+        # one omega table per diagram, however the diagram was built
+        assert interned.omega_steps is _omega_steps(family, rank) is fresh.omega_steps
+        assert fresh.labels == interned.labels
+        assert fresh.label_set == interned.label_set == frozenset(fresh.labels)
+        h = {"A": rank + 1, "D": 2 * rank - 2}.get(family) or E_COXETER[rank]
+        assert fresh.m_delta == interned.m_delta == h - 1, rank
+        assert fresh.h_star == interned.h_star == (h if family == "A" else h // 2), rank
+        for t in fresh.labels:
+            for x in (-3, 0, 5):
+                assert omega(fresh, Vertex(x, t)) == omega(interned, Vertex(x, t)), (rank, t)
 
 
 # (family, rank, u, s) over every family and twist order, fractional type D included

@@ -291,9 +291,10 @@ class TestTables:
     def test_unknown_label_raises_check_label_error_at_every_entry(self, t):
         at = AlgebraType.create("A", 5, 2, 1)
         twisted = AlgebraType.create("A", 5, 2, 2)
-        d, v = at.diagram, Vertex(0, t)
+        d, fresh, v = at.diagram, Diagram("A", 5), Vertex(0, t)
         calls = [
             lambda: omega(d, v),
+            lambda: omega(fresh, v),  # built directly, not interned
             lambda: phi(at, v),
             lambda: phi(twisted, v),
             lambda: rd_oracle(at, v),

@@ -634,6 +634,30 @@ def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
         assert reader.cache_info().misses <= 2 * at.s, t
 
 
+@pytest.mark.parametrize(
+    "at",
+    [AlgebraType.create("A", 5, 2, 2), AlgebraType.create("D", 4, 2, 3),
+     AlgebraType.create("E", 6, 2, 2), AlgebraType.create("D", 6, Fraction(4, 3), 1),
+     AlgebraType.create("E", 8, 2, 1)],
+    ids=lambda at: at.describe(),
+)
+def test_oracle_takes_one_omega_step_per_degree(monkeypatch, at):
+    # exactly witness calls to omega: a faster oracle walk has cheaper steps, not fewer
+    calls = 0
+    step = rigidity.omega
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(rigidity, "omega", counted)
+    for t in at.diagram.labels:
+        calls = 0
+        witness = rd_oracle(at, Vertex(0, t)).witness
+        assert calls == witness > 0, t
+
+
 def generator_walk(at, t):
     """The s-fold ``group_generator`` walk from (0, t), read as (label, x)."""
     w, walk = Vertex(0, t), []
