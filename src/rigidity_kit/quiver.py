@@ -86,8 +86,9 @@ class Vertex:
 
     ``__init__`` is written out, storing each field through its slot
     descriptor: the generated frozen ``__init__`` makes one
-    ``object.__setattr__`` call per field, and every ``omega`` step builds
-    a vertex.
+    ``object.__setattr__`` call per field.  ``omega``, which builds a vertex
+    on every oracle step, skips even this: it fills the two slots of a bare
+    instance through the same descriptors, so its vertices are ordinary ones.
     """
 
     x: int
@@ -106,6 +107,7 @@ class Vertex:
 
 _set_vertex_x = Vertex.x.__set__
 _set_vertex_t = Vertex.t.__set__
+_object_new = object.__new__  # bound once: a step skips the lookup of object and its __new__
 
 
 @dataclass(frozen=True)
@@ -244,13 +246,19 @@ def omega(diagram: Diagram, v: Vertex) -> Vertex:
 
     The table is the diagram's own.  A label outside it raises through
     ``Diagram.check_label``; a bool or a float equal to a label is not checked.
+    The image is built as ``object.__new__(Vertex)`` with its two slots set
+    through the slot descriptors, with no ``type.__call__`` and no Python
+    ``__init__`` frame: the oracle walk makes one call per degree.
     """
     try:
         dx, t = diagram.omega_steps[v.t]
     except (KeyError, TypeError):  # not a label, or unhashable: check_label raises
         diagram.check_label(v.t)
         raise
-    return Vertex(v.x + dx, t)
+    w = _object_new(Vertex)
+    _set_vertex_x(w, v.x + dx)
+    _set_vertex_t(w, t)
+    return w
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
   the omega period, since the base vertex lies in its own hammock; aimed at
   the vertex alone, the same capped walk gives ``omega_period``.  omega^2
   fixes every label, so the walk reaches at most two; for each, it builds
-  once per call the set of x-offsets mod period, relative to the base, at
-  which a vertex of that label meets the target, reading only the target
-  cells of its s orbit offsets.  Each step is one ``omega`` table lookup
-  and one set test.
+  once per call the set of x residues mod period, placed at the base's x,
+  at which a vertex of that label meets the target, reading only the target
+  cells of its s orbit offsets.  Each step is one ``omega`` call, a table
+  lookup that fills the slots of a bare ``Vertex``, and one set test of its
+  x mod period.
 
 Agreement of the two over full parameter sweeps is the package's central
 acceptance property; ``sweep_types`` names the sweeps and ``agreement``
@@ -308,10 +309,13 @@ def _omega_walk(
     for the hammock of v.  Degree i is a hit when some group translate of w,
     the i-th omega shift of v, lands in the target.  The orbit of w is the
     translates by period-multiples of (w.x + ox, c) over the orbit offsets
-    of w.t, so that holds exactly when (w.x - v.x) mod period is some dx - ox
-    with dx in ``column(c)``.  Those residues are built on the first step
-    that reaches a label, from s cells; omega^2 fixes every label, so a walk
-    reads at most 2s.  Callers check the label of v before they aim at it.
+    of w.t, so that holds exactly when w.x mod period is some v.x + dx - ox
+    with dx in ``column(c)``: the residues are placed at v, and a step tests
+    w.x alone.  They are kept per label reached and built on the first step
+    that reaches it, from s cells; omega^2 fixes every label, so a walk
+    reads at most 2s.  Each step is one call of ``omega``, looked up as the
+    module global, so a patched or traced ``omega`` sees every degree.
+    Callers check the label of v before they aim at it.
     """
     diagram = atype.diagram
     period = atype.period
@@ -323,9 +327,9 @@ def _omega_walk(
         residues = residue_sets.get(w.t)
         if residues is None:
             residues = residue_sets[w.t] = frozenset(
-                (dx - ox) % period for c, ox in offsets[w.t] for dx in column(c)
+                (x0 + dx - ox) % period for c, ox in offsets[w.t] for dx in column(c)
             )
-        if (w.x - x0) % period in residues:
+        if w.x % period in residues:
             yield i
 
 

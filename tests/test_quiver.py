@@ -164,6 +164,31 @@ class TestOmega:
                 v = Vertex(2, t)
                 assert omega(d, tau(v)) == tau(omega(d, v))
 
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 5), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+    )
+    def test_image_is_an_ordinary_vertex(self, family, rank):
+        # omega sets the slots of a bare instance, skipping __init__; nothing may tell
+        d = Diagram(family, rank)
+        for t in d.labels:
+            w = omega(d, Vertex(-3, t))
+            built = Vertex(w.x, w.t)
+            assert type(w) is Vertex and w == built and hash(w) == hash(built)
+            assert repr(w) == repr(built) and str(w) == str(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.x = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.t = t
+            copies = [pickle.loads(pickle.dumps(w, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(w), copy.deepcopy(w), dataclasses.replace(w)]
+            for c in copies:
+                assert type(c) is Vertex and c == w and hash(c) == hash(w) and repr(c) == repr(w)
+        for bad in (99, [1]):
+            with pytest.raises(ValueError) as info:
+                omega(d, Vertex(0, bad))
+            assert str(info.value) == f"label {bad!r} is not a vertex of {family}{rank}"
+
 
 class TestPhi:
     def test_identity_when_untwisted(self):
@@ -825,12 +850,22 @@ def reference_knit_profile(family, rank, t0, forward):
     cur = {c: (1 if c in start else 0) for c in labels}
     profile = [cur]
     cap = 4 * Diagram(family, rank).m_delta + 8
+    mesh = [(c, ins[c], outs[c]) for c in order]
     for _ in range(cap):
         nxt = {}
-        for c in order:
-            total = sum(cur[a] for a in ins[c]) + sum(nxt[b] for b in outs[c])
-            nxt[c] = max(0, total - cur[c])
-        if not any(nxt.values()):
+        alive = False
+        for c, c_ins, c_outs in mesh:
+            total = -cur[c]
+            for a in c_ins:
+                total += cur[a]
+            for b in c_outs:
+                total += nxt[b]
+            if total > 0:
+                nxt[c] = total
+                alive = True
+            else:
+                nxt[c] = 0
+        if not alive:
             return tuple(
                 tuple((c, slice_[c]) for c in labels if slice_[c] > 0)
                 for slice_ in profile

@@ -333,6 +333,29 @@ def test_walk_matches_definition(at):
             assert se_oracle(at, v, horizon) == tuple(literal), (t, x)
 
 
+@pytest.mark.parametrize(
+    "at",
+    [AlgebraType.from_shift("A", 6, 9, 1), AlgebraType.create("A", 5, 2, 2),
+     AlgebraType.create("D", 5, 2, 1), AlgebraType.create("D", 6, 1, 2),
+     AlgebraType.create("D", 4, 2, 3), AlgebraType.create("D", 6, Fraction(4, 3), 1),
+     AlgebraType.create("E", 6, 2, 1), AlgebraType.create("E", 6, 1, 2),
+     AlgebraType.create("E", 7, 2, 1), AlgebraType.create("E", 8, 1, 1)],
+    ids=lambda at: at.describe(),
+)
+def test_oracle_is_translation_invariant(at):
+    # the walk places the target at the base's x; a translate of the base must see
+    # the same degrees, also far from 0 and on either side of a period
+    p = at.period
+    for t in at.diagram.labels:
+        def seen(x):
+            v = Vertex(x, t)
+            return rd_oracle(at, v).witness, se_oracle(at, v, 2 * p + 3), omega_period(at, v)
+
+        at_zero = seen(0)
+        for x in (-p - 1, -7, 3, p, 10**12):
+            assert seen(x) == at_zero, (t, x)
+
+
 @pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
 def test_omega_period_matches_definition(at):
     # the first p at which w, reached by p single omega steps, is in the orbit of v
@@ -594,10 +617,11 @@ def test_cell_reader_memo_is_invisible(types):
 
 
 @pytest.mark.parametrize(
-    "family,ranks", [("A", range(1, 41)), ("D", range(4, 41)), ("E", (6, 7, 8))]
+    "family,ranks", [("A", range(1, 65)), ("D", range(4, 65)), ("E", (6, 7, 8))]
 )
 def test_omega_squared_fixes_every_label(family, ranks):
-    # so a walk from t meets the labels t and omega(t) only
+    # so a walk from t meets the labels t and omega(t) only; the ranks cover every
+    # diagram of the benchmark (A41 s=2 the largest) and of the verify sweeps
     for rank in ranks:
         steps = _omega_steps(family, rank)
         assert all(steps[steps[t][1]][1] == t for t in steps), (family, rank)
