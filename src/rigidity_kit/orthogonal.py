@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .quiver import AlgebraType, Vertex, _diagram, _omega_steps, _orbit_offsets, hammock_incidence
+from .quiver import AlgebraType, Vertex, _diagram, _orbit_offsets, hammock_incidence
 from .rigidity import rd_closed
 
 __all__ = ["OrthogonalityCertificate", "RigdimFormula", "RigdimVerification",
@@ -76,9 +76,10 @@ def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int,
     """The type's period, label count L, full mask and, per label t, the row (orbit, phases).
 
     ``orbit`` holds the cells of the orbit of (0, t).  Phase j = 1, 2 is (dx, pattern, k)
-    for omega^j(0, t) = (dx, labels[k]), read off the omega table, with the cover pattern
-    of labels[k]: the OR of each orbit representative's ``hammock_incidence``, folded
-    modulo the period once per label and rotated to the representative.
+    for omega^j(0, t) = (dx, labels[k]), read off the diagram's phase table (its omega
+    steps, and omega^2 = (h, t)), with the cover pattern of labels[k]: the OR of each
+    orbit representative's ``hammock_incidence``, folded modulo the period once per
+    label and rotated to the representative.
     """
     diagram = _diagram(family, rank)
     labels = diagram.labels
@@ -99,10 +100,10 @@ def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int,
             pattern |= (bits << k | bits >> size - k) & full
             orbit |= 1 << (k + index[c])
         cells[t] = orbit, (pattern, index[t])
-    steps, rows = _omega_steps(family, rank), {}
+    steps, h, rows = diagram.omega_steps, diagram.h, {}
     for t, (orbit, own) in cells.items():
-        dx, t1 = steps[t]  # and omega^2 fixes t
-        rows[t] = orbit, ((dx, *cells[t1][1]), (dx + steps[t1][0], *own))
+        dx, t1 = steps[t]
+        rows[t] = orbit, ((dx, *cells[t1][1]), (h, *own))
     return period, width, full, rows
 
 

@@ -6,23 +6,21 @@ twist phi, membership in and reduction modulo the admissible group
 of the stable Hom functor, knitted on the mesh and returned as frozensets
 of vertices, and one DOT writer for hammocks and orbit quivers.
 
-Each diagram's integer geometry is held per diagram, never per algebra
-type.  A ``Diagram`` carries its labels, h*, m_delta and omega step table as
-attributes set when it is validated, and ``omega`` indexes that table.  The
-phi step tables, which ``phi`` indexes, are cached per diagram and twist
-order, and every backward hammock is knitted in one pass on byte lanes by
-``_knit_lanes``, which holds that cache.  The lanes are read one cell of one
-label at a time for the oracle (``_hammock_column``), which builds
-``hammock_columns`` for ``hammock_minus``, by cell for the certificate
-(``hammock_incidence``) and by cell as forward hammocks for ``hammock_plus``,
-since z lies in H+(v) exactly when v lies in H-(z).  Only the orbit offsets
-depend on the type, composed on the phi table and keyed on (family, rank, s,
-n); they keep the last type alone.  An algebra type is the triple (diagram,
-s, n), with its u = n / m_delta derived; its constructors take one interned
-``Diagram`` per (family, rank), validated once.
-Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels
-by ``Diagram.check_label``), not on every step; the hammock caches key on
-the label's type too, so a bool or float equal to a label meets that check.
+A diagram's geometry has one home: its ``Diagram``, which holds every
+table as an attribute.  Validation sets its structure, the omega and phi
+step tables, the origin vertices and the phase table; the knitted hammocks
+are built on the first hammock read and held beside them.  ``omega`` and
+``phi`` index the step tables.  Every backward hammock is knitted in one
+pass on byte lanes by ``_knit_lanes``.  The lanes are read one cell at a
+time (``Diagram.hammock_column``) for the oracle, ``hammock_columns`` and
+``hammock_minus``, transposed for the certificate (``hammock_incidence``)
+and as forward hammocks for ``hammock_plus``.  Only
+the orbit offsets depend on the type; they are memoised for the last type.
+An algebra type is the triple (diagram, s, n), with its u = n / m_delta
+derived; its constructors take one interned ``Diagram`` per (family, rank),
+validated once.  Vertices are checked where they enter, by
+``Diagram.check_vertex`` (labels by ``Diagram.check_label``), not on every
+step.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -70,6 +68,7 @@ SPINE_MINUS = "m-"
 Label = Union[int, str]
 
 _E_H_STAR = {6: 6, 7: 9, 8: 15}
+_SPINE_FLIP: dict[Label, Label] = {SPINE_PLUS: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS}
 # u spelled in full in ASCII digits: a natural number or a fraction with a nonzero denominator
 _U_PATTERN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -112,14 +111,26 @@ _object_new = object.__new__  # bound once: a step skips the lookup of object an
 
 @dataclass(frozen=True)
 class Diagram:
-    """A Dynkin diagram A_r (r>=1), D_r (r>=4) or E_r (r in 6..8).
+    """A Dynkin diagram A_r (r>=1), D_r (r>=4) or E_r (r in 6..8), with its geometry.
 
     Validation also sets the diagram's tables as plain attributes, not
     fields, so ``==``, ``hash`` and ``repr`` read the family and rank alone:
-    ``labels``, in the order of ``Vertex.sort_key``, and their frozenset
-    ``label_set``; ``omega_steps``, the very table of ``_omega_steps``;
-    ``h_star``, the Coxeter number h for type A and half of it for D and E;
-    and ``m_delta = h - 1``.  Every caller shares them; never mutate them.
+
+    * ``labels``, in the order of ``Vertex.sort_key``, and their frozenset
+      ``label_set``;
+    * ``ins`` and ``outs``, label -> its in- and out-neighbours under a fixed
+      orientation, and ``knit_plan``, the mesh recurrence on label indices;
+    * ``omega_steps``, label t -> (dx, t') with omega(x, t) = (x + dx, t'),
+      and ``phi_steps``, twist order s -> the same table for phi;
+    * ``origins``, label t -> the vertex (0, t);
+    * ``h``, the Coxeter number; ``h_star``, h for type A and half of it for
+      D and E; and ``m_delta = h - 1``.  ``h`` and ``omega_steps`` make the
+      phase table: omega^2 fixes every label and moves x by h.
+
+    The knitted hammocks are held beside them, built on the first hammock
+    read: ``lanes`` (``_knit_lanes``), ``columns`` (``hammock_column`` per
+    cell) and ``incidence`` (``hammock_incidence``).  Every caller shares the
+    tables; never mutate them.
     """
 
     family: str
@@ -137,15 +148,23 @@ class Diagram:
         if self.family == "E" and self.rank not in (6, 7, 8):
             raise ValueError(f"type E needs rank 6, 7 or 8, got {self.rank}")
         family, rank = self.family, self.rank
-        labels, label_set = _structure(family, rank)[:2]
+        labels, ins, outs, plan = _structure(family, rank)
+        steps = _omega_steps(family, rank, labels)
         h_star = rank + 1 if family == "A" else rank - 1 if family == "D" else _E_H_STAR[rank]
-        # object.__setattr__ keeps them in the instance's inline values, which a load
-        # reads fastest; a __dict__ update would make every load go through a dict
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "omega_steps", _omega_steps(family, rank))
-        object.__setattr__(self, "h_star", h_star)
-        object.__setattr__(self, "m_delta", (h_star if family == "A" else 2 * h_star) - 1)
+        h = h_star if family == "A" else 2 * h_star
+        # object.__setattr__ in one fixed order keeps the tables in the instance's inline
+        # values, which a load reads fastest; a __dict__ read or update would make every
+        # load go through a dict.  The hammock tables come first, empty until first read.
+        tables = (
+            ("lanes", None), ("incidence", None), ("columns", {}),
+            ("labels", labels), ("label_set", frozenset(labels)), ("ins", ins), ("outs", outs),
+            ("knit_plan", plan), ("omega_steps", steps),
+            ("phi_steps", _phi_steps(family, rank, labels, steps)),
+            ("origins", {t: Vertex(0, t) for t in labels}),
+            ("h", h), ("h_star", h_star), ("m_delta", h - 1),
+        )
+        for name, table in tables:
+            object.__setattr__(self, name, table)
 
     def check_label(self, t: Label) -> None:
         """Raise ``ValueError`` unless t is one of the labels, by type and value.
@@ -162,6 +181,19 @@ class Diagram:
         if type(v.x) is not int:
             raise ValueError(f"slice coordinate must be an integer, got {v.x!r}")
 
+    def hammock_column(self, t: Label, c: Label) -> tuple[int, ...]:
+        """The dx, ascending, with (dx, c) in the backward hammock of (0, t).
+
+        Lane t of cell c of the knitted lanes, read once and held in
+        ``columns``; callers check t and c.
+        """
+        column = self.columns.get((t, c))
+        if column is None:
+            labels = self.labels
+            lane = (self.lanes or _knit_lanes(self))[labels.index(c)][labels.index(t)::len(labels)]
+            column = self.columns[t, c] = tuple(compress(count(), lane))
+        return column
+
 
 _interned = lru_cache(maxsize=None)(Diagram)  # exact types only: True and 6.0 hash like 1 and 6
 
@@ -170,13 +202,13 @@ def _diagram(family: str, rank: int) -> Diagram:
     return (_interned if type(family) is str and type(rank) is int else Diagram)(family, rank)
 
 
-@lru_cache(maxsize=None)
 def _structure(family: str, rank: int):
-    """Labels, their frozenset and a fixed edge orientation pinning the coordinates of ZD.
+    """Labels, a fixed edge orientation pinning the coordinates of ZD, and its knit plan.
 
     The orientation is the one under which the automorphism formulas below
     hold verbatim: chains point towards label 1, and the D fork and the E
-    branch vertex are fed from their chain neighbours.
+    branch vertex are fed from their chain neighbours.  The knit plan is the
+    mesh recurrence on label indices: one (c, ins, outs) per label, sinks first.
     """
     if family == "A":
         labels: tuple[Label, ...] = tuple(range(1, rank + 1))
@@ -207,7 +239,12 @@ def _structure(family: str, rank: int):
         c = next(c for c in remaining if all(b in placed for b in outs[c]))
         placed[c] = None
         remaining.remove(c)
-    return labels, frozenset(labels), ins, outs, tuple(placed)
+    index = {c: i for i, c in enumerate(labels)}
+    plan = tuple(
+        (index[c], tuple(index[a] for a in ins[c]), tuple(index[b] for b in outs[c]))
+        for c in placed
+    )
+    return labels, ins, outs, plan
 
 
 def tau(v: Vertex, steps: int = 1) -> Vertex:
@@ -215,30 +252,16 @@ def tau(v: Vertex, steps: int = 1) -> Vertex:
     return Vertex(v.x + steps, v.t)
 
 
-def _spine_flip(t: Label) -> Label:
-    return SPINE_MINUS if t == SPINE_PLUS else SPINE_PLUS
-
-
-@lru_cache(maxsize=None)
-def _omega_steps(family: str, rank: int) -> dict[Label, tuple[int, Label]]:
-    """omega as a table: label t -> (dx, t') with omega(x, t) = (x + dx, t').
-
-    Shared by every caller of the cache, each ``Diagram`` of (family, rank) as its
-    ``omega_steps`` included; never mutate it.
-    """
-    steps: dict[Label, tuple[int, Label]] = {}
-    for t in _structure(family, rank)[0]:
-        if family == "A":
-            steps[t] = (t, rank + 1 - t)
-        elif family == "D":
-            m = rank - 1
-            flips = t in (SPINE_PLUS, SPINE_MINUS) and m % 2 == 0
-            steps[t] = (m, _spine_flip(t) if flips else t)
-        elif rank == 6:
-            steps[t] = (6, 6) if t == 6 else (t + 3, 6 - t)
-        else:
-            steps[t] = (_E_H_STAR[rank], t)
-    return steps
+def _omega_steps(family: str, rank: int, labels: tuple) -> dict[Label, tuple[int, Label]]:
+    """omega as a table: label t -> (dx, t') with omega(x, t) = (x + dx, t')."""
+    if family == "A":
+        return {t: (t, rank + 1 - t) for t in labels}
+    if family == "D":  # the fork tips swap when m = rank - 1 is even
+        m = rank - 1
+        return {t: (m, _SPINE_FLIP.get(t, t) if m % 2 == 0 else t) for t in labels}
+    if rank == 6:
+        return {t: (6, 6) if t == 6 else (t + 3, 6 - t) for t in labels}
+    return {t: (_E_H_STAR[rank], t) for t in labels}
 
 
 def omega(diagram: Diagram, v: Vertex) -> Vertex:
@@ -356,32 +379,26 @@ class AlgebraType:
         return f"({self.diagram.family}{self.diagram.rank}, {self.u}, {self.s})"
 
 
-@lru_cache(maxsize=None)
-def _phi_steps(family: str, rank: int, s: int) -> dict[Label, tuple[int, Label]]:
-    """phi of twist order s as a table, like ``_omega_steps``; never mutate it."""
-    steps: dict[Label, tuple[int, Label]] = {}
-    for t in _structure(family, rank)[0]:
-        if s == 1:
-            steps[t] = (0, t)
-        elif family == "A":
-            m = rank + 1
-            steps[t] = (t - m // 2, m - t)
-        elif family == "D" and s == 2:
-            steps[t] = (0, _spine_flip(t) if t in (SPINE_PLUS, SPINE_MINUS) else t)
-        elif family == "D":
-            cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
-            steps[t] = (0, cycle.get(t, t))
-        else:  # E6, s == 2: tau^-6 . omega
-            dx, image = _omega_steps(family, rank)[t]
-            steps[t] = (dx - 6, image)
-    return steps
+def _phi_steps(family: str, rank: int, labels: tuple, omega_steps: dict) -> dict[int, dict]:
+    """phi as tables like ``omega_steps``, one per twist order s the diagram has."""
+    tables: dict[int, dict[Label, tuple[int, Label]]] = {1: {t: (0, t) for t in labels}}
+    if family == "A":
+        m = rank + 1
+        tables[2] = {t: (t - m // 2, m - t) for t in labels}
+    elif family == "D":
+        cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
+        tables[2] = {t: (0, _SPINE_FLIP.get(t, t)) for t in labels}
+        tables[3] = {t: (0, cycle.get(t, t)) for t in labels}
+    elif rank == 6:  # E6, s == 2: tau^-6 . omega
+        tables[2] = {t: (dx - 6, image) for t, (dx, image) in omega_steps.items()}
+    return tables
 
 
 def phi(atype: AlgebraType, v: Vertex) -> Vertex:
     """The finite twist entering the group generator; identity when s == 1."""
     diagram = atype.diagram
     diagram.check_vertex(v)
-    dx, t = _phi_steps(diagram.family, diagram.rank, atype.s)[v.t]
+    dx, t = diagram.phi_steps[atype.s][v.t]
     return Vertex(v.x + dx, t)
 
 
@@ -422,9 +439,10 @@ def _orbit_offsets(family: str, rank: int, s: int, n: int) -> dict:
     orbit of (x, t) is the translates by period-multiples of the vertices
     (x + dx, t').  Shared by the oracle walk and the certificate; never mutate it.
     """
-    steps = _phi_steps(family, rank, s)
+    diagram = _diagram(family, rank)
+    steps = diagram.phi_steps[s]
     offsets = {}
-    for t in _structure(family, rank)[0]:
+    for t in diagram.labels:
         orbit = [(t, 0)]
         for _ in range(s - 1):
             dx, c = steps[orbit[-1][0]]
@@ -447,24 +465,13 @@ def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
     return any(rep.t == w.t and (w.x - rep.x) % period == 0 for rep in reps)
 
 
-def _knit_plan(family: str, rank: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The mesh recurrence on label indices: one (c, ins, outs) per label, sinks first."""
-    labels, _, ins, outs, order = _structure(family, rank)
-    index = {c: i for i, c in enumerate(labels)}
-    return tuple(
-        (index[c], tuple(index[a] for a in ins[c]), tuple(index[b] for b in outs[c]))
-        for c in order
-    )
-
-
-@lru_cache(maxsize=None)
-def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
+def _knit_lanes(diagram: Diagram) -> tuple[bytes, ...]:
     """Knit the backward hammock at (0, t) of every label t in one pass, one byte lane per t.
 
     Each cell is one int; its byte k is the cell's multiplicity in the hammock
     based at ``labels[k]``.  Slice 0 holds the bases: lane k is the indicator
     of the labels with a path to ``labels[k]``.  Slice i, at x-offset +i, is
-    filled in ``_knit_plan`` order by ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``,
+    filled in ``knit_plan`` order by ``-cur[c] + sum(cur[ins]) + sum(nxt[outs])``,
     kept only when positive.  Every lane carries a bias of 64, so "positive"
     is bit 7 of the lane plus 63.  Multiplicities are at most 6 and a cell has
     at most 3 neighbours, so a biased lane stays in 58..82 and never carries;
@@ -473,8 +480,9 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     per label index c, cell c of every slice as bytes: byte ``i * n + k`` is
     lane k of slice i.  As Hom((i, c), (0, labels[k])) = Hom((0, c), (-i, labels[k])),
     these bytes are also the forward hammock of (0, labels[c]); nothing knits forward.
+    Runs on the diagram's first hammock read, and holds the lanes as ``diagram.lanes``.
     """
-    plan = _knit_plan(family, rank)
+    plan, name = diagram.knit_plan, f"{diagram.family}{diagram.rank}"
     n = len(plan)
     ones = int.from_bytes(b"\x01" * n, "little")
     bias, round_up = ones << 6, 63 * ones
@@ -482,7 +490,7 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
     for c, _, outs in plan:  # c reaches itself and all that its plan out-neighbours reach
         cur[c] = reduce(or_, (cur[b] for b in outs), 1 << 8 * c)
     slices = [cur]
-    for _ in range(4 * _diagram(family, rank).m_delta + 8):
+    for _ in range(4 * diagram.m_delta + 8):
         nxt = [0] * n
         for c, ins, outs in plan:
             total = bias - cur[c]
@@ -497,59 +505,52 @@ def _knit_lanes(family: str, rank: int) -> tuple[bytes, ...]:
         slices.append(nxt)
         cur = nxt
     else:
-        raise RuntimeError(f"knitting on {family}{rank} did not terminate")
+        raise RuntimeError(f"knitting on {name} did not terminate")
     if reduce(or_, chain.from_iterable(slices)) & 0xF8 * ones:
-        raise RuntimeError(f"knitting on {family}{rank} overflowed its byte lanes")
-    return tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
+        raise RuntimeError(f"knitting on {name} overflowed its byte lanes")
+    lanes = tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
+    object.__setattr__(diagram, "lanes", lanes)
+    return lanes
 
 
-@lru_cache(maxsize=None)
-def _hammock_column(family: str, rank: int, t: Label, c: Label) -> tuple[int, ...]:
-    """The dx, ascending, with (dx, c) in the backward hammock of (0, t): lane t of cell c
-    of ``_knit_lanes``.  Shared by every type of the diagram; callers check t and c.
-    """
-    labels = _structure(family, rank)[0]
-    lanes = _knit_lanes(family, rank)
-    return tuple(compress(count(), lanes[labels.index(c)][labels.index(t)::len(labels)]))
-
-
-@lru_cache(maxsize=None, typed=True)
 def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
     """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
 
-    Read cell by cell from ``_hammock_column``; labels the hammock misses
-    have no entry.  Shared by every caller; never mutate it.
+    Read cell by cell from ``Diagram.hammock_column``; labels the hammock
+    misses have no entry.
     """
     diagram.check_label(t)
-    family, rank = diagram.family, diagram.rank
-    return {c: dxs for c in diagram.labels if (dxs := _hammock_column(family, rank, t, c))}
+    return {c: dxs for c in diagram.labels if (dxs := diagram.hammock_column(t, c))}
 
 
-@lru_cache(maxsize=None)
 def hammock_incidence(diagram: Diagram) -> dict[Label, int]:
     """Transposed backward hammocks: label c -> an int with bit dx.n + k set
     when (dx, c) is in H-(0, labels[k]), n the number of labels.
 
-    Cell c of ``_knit_lanes``, each byte made one bit in place (nonzero: 1).
-    Shared by every caller; never mutate it.
+    Cell c of the knitted lanes, each byte made one bit in place (nonzero: 1),
+    built on the first read and held as ``diagram.incidence``; never mutate it.
     """
-    lanes = _knit_lanes(diagram.family, diagram.rank)
-    return {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2) for c, m in zip(diagram.labels, lanes)}
+    incidence = diagram.incidence
+    if incidence is None:
+        incidence = {c: int(m.translate(b"0" + b"1" * 255)[::-1], 2)
+                     for c, m in zip(diagram.labels, diagram.lanes or _knit_lanes(diagram))}
+        object.__setattr__(diagram, "incidence", incidence)
+    return incidence
 
 
 def hammock_minus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
-    """Support of stable Hom(-, v), from ``hammock_columns`` of its label."""
+    """Support of stable Hom(-, v), read cell by cell from ``Diagram.hammock_column``."""
     diagram.check_vertex(v)
-    columns = hammock_columns(diagram, v.t)
-    return frozenset(Vertex(v.x + dx, c) for c, dxs in columns.items() for dx in dxs)
+    return frozenset(Vertex(v.x + dx, c) for c in diagram.labels
+                     for dx in diagram.hammock_column(v.t, c))
 
 
 def hammock_plus(diagram: Diagram, v: Vertex) -> frozenset[Vertex]:
-    """Support of stable Hom(v, -): cell v.t of ``_knit_lanes``, read as its forward hammock."""
+    """Support of stable Hom(v, -): cell v.t of the knitted lanes, read as its forward hammock."""
     diagram.check_vertex(v)
     labels = diagram.labels
     n = len(labels)
-    row = _knit_lanes(diagram.family, diagram.rank)[labels.index(v.t)]
+    row = (diagram.lanes or _knit_lanes(diagram))[labels.index(v.t)]
     return frozenset(Vertex(v.x - j // n, labels[j % n]) for j in compress(count(), row))
 
 
@@ -563,9 +564,8 @@ def _node_id(v: Vertex) -> str:
 
 
 def _mesh_successors(diagram: Diagram, v: Vertex) -> list[Vertex]:
-    _, _, ins, outs, _ = _structure(diagram.family, diagram.rank)
-    succ = [Vertex(v.x, b) for b in outs[v.t]]
-    succ += [Vertex(v.x - 1, a) for a in ins[v.t]]
+    succ = [Vertex(v.x, b) for b in diagram.outs[v.t]]
+    succ += [Vertex(v.x - 1, a) for a in diagram.ins[v.t]]
     return succ
 
 

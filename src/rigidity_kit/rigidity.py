@@ -10,8 +10,8 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
   division, where ``bisect`` places a label among the remainders and each
   row's result is formatted once, when a label first lands in it; the D
   spine, D4 with twist order 3 and type E read the division per call.  The
-  report's vertex comes from a per-diagram table of origin vertices, whose
-  lookup is also the label check;
+  report's vertex comes from the diagram's origin vertices, whose lookup is
+  also the label check;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
-from .quiver import AlgebraType, Label, Vertex, _diagram, _hammock_column, _orbit_offsets, omega
+from .quiver import AlgebraType, Label, Vertex, _diagram, _orbit_offsets, omega
 
 __all__ = [
     "RigidityReport",
@@ -248,19 +248,11 @@ def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[i
     return rd, branch
 
 
-@lru_cache(maxsize=None)
-def _origin_vertices(family: str, rank: int) -> dict[Label, Vertex]:
-    """The vertex (0, t) of every label t of one diagram, built when ``rd_closed`` first
-    reads the diagram; a ``Vertex`` is frozen, so reports share them.  Never mutate it.
-    """
-    return {t: Vertex(0, t) for t in _diagram(family, rank).labels}
-
-
 # maxsize=1: callers evaluate the labels of one type in a row.  Keyed on plain values, which
 # hash and compare in C, where an AlgebraType key would run its Python __hash__ and __eq__.
 @lru_cache(maxsize=1)
-def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable]:
-    """The closed form of one type: its origin vertices and its lookup t -> (rd, branch).
+def _closed_plan(family: str, rank: int, s: int, n: int) -> Callable[[Label], tuple[int, str]]:
+    """The closed form of one type: its lookup t -> (rd, branch).
 
     Building it makes the type's one Euclidean division; D4 with twist order 3
     and type E are evaluated per call from the part of it they read.
@@ -280,19 +272,19 @@ def _closed_plan(family: str, rank: int, s: int, n: int) -> tuple[dict, Callable
             lookup = partial(_rd_closed_d4_triality, weight_sequence(3, n).fb_at(1), u)
         else:
             lookup = partial(_rd_closed_e, rank, s, u, weight_sequence(diagram.h_star, n))
-    return _origin_vertices(family, rank), lookup
+    return lookup
 
 
 def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     """Closed-form rigidity degree of the vertex (0, t).
 
     Reads the plan of ``atype``, memoised for the last type: a label is
-    checked by its lookup in the plan's origin vertices, and on a miss
-    ``Diagram.check_label`` raises.
+    checked by its lookup in the diagram's origin vertices, and on a miss
+    ``Diagram.check_label`` raises.  A ``Vertex`` is frozen, so reports share them.
     """
     diagram = atype.diagram
-    vertices, lookup = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
-    vertex = vertices.get(t) if type(t) in (int, str) else None
+    lookup = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
+    vertex = diagram.origins.get(t) if type(t) in (int, str) else None
     if vertex is None:
         diagram.check_label(t)
     rd, branch = lookup(t)
@@ -305,8 +297,8 @@ def _omega_walk(
     """Yield each i in [1, bound] at which the i-th omega shift of v meets the target.
 
     The target is read cell by cell and placed at v: it holds the vertices
-    (v.x + dx, c) with dx in ``column(c)``, as ``_hammock_column`` gives them
-    for the hammock of v.  Degree i is a hit when some group translate of w,
+    (v.x + dx, c) with dx in ``column(c)``, as ``Diagram.hammock_column`` gives
+    them for the hammock of v.  Degree i is a hit when some group translate of w,
     the i-th omega shift of v, lands in the target.  The orbit of w is the
     translates by period-multiples of (w.x + ox, c) over the orbit offsets
     of w.t, so that holds exactly when w.x mod period is some v.x + dx - ox
@@ -337,7 +329,7 @@ def _first_hit(
     atype: AlgebraType, v: Vertex, column: Callable[[Label], tuple[int, ...]], failure: str
 ) -> int:
     """First hit of ``_omega_walk``; past a step cap, ``RuntimeError`` of ``failure.format(v)``."""
-    cap = 4 * atype.s * atype.n * (atype.diagram.m_delta + 1)
+    cap = 4 * atype.s * atype.n * atype.diagram.h
     for i in _omega_walk(atype, v, column, cap):
         return i
     raise RuntimeError(f"{failure.format(v)} within {cap} steps")
@@ -351,8 +343,7 @@ def se_oracle(atype: AlgebraType, v: Vertex, horizon: int) -> tuple[int, ...]:
         raise ValueError(f"horizon must be positive, got {horizon}")
     diagram = atype.diagram
     diagram.check_vertex(v)
-    column = partial(_hammock_column, diagram.family, diagram.rank, v.t)
-    return tuple(_omega_walk(atype, v, column, horizon))
+    return tuple(_omega_walk(atype, v, partial(diagram.hammock_column, v.t), horizon))
 
 
 def omega_period(atype: AlgebraType, v: Vertex) -> int:
@@ -371,7 +362,7 @@ def rd_oracle(atype: AlgebraType, v: Vertex) -> RigidityReport:
     """
     diagram = atype.diagram
     diagram.check_vertex(v)
-    column = partial(_hammock_column, diagram.family, diagram.rank, v.t)
+    column = partial(diagram.hammock_column, v.t)
     i = _first_hit(atype, v, column, "omega walk of {} met no self-extension")
     return RigidityReport(atype, v, i - 1, None, i)
 

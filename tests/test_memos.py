@@ -1,6 +1,6 @@
 """The package's memos: a warm call hashes no Fraction, as an AlgebraType hashes on integers,
-the constructors validate each diagram once, on an interned ``Diagram``, and a diagram's
-tables are plain attributes that no comparison, hash or copy sees."""
+the constructors validate and knit each diagram once, on an interned ``Diagram``, and a
+diagram's tables are plain attributes that no comparison, hash or copy sees."""
 
 from __future__ import annotations
 
@@ -19,16 +19,16 @@ from rigidity_kit import (
     AlgebraType,
     Diagram,
     Vertex,
+    agreement,
     is_maximal_orthogonal,
     omega,
     quiver,
     rd_closed,
     rd_oracle,
-    rigidity,
     se_oracle,
     sweep_types,
 )
-from rigidity_kit.quiver import _omega_steps
+from rigidity_kit.quiver import hammock_incidence
 
 TYPES = [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
          AlgebraType.create("E", 7, 5, 1)]
@@ -110,6 +110,19 @@ def test_diagram_tables_are_not_fields():
     assert d == quiver._diagram("D", 6) and d != Diagram("D", 7) and d != Diagram("A", 6)
 
 
+# the tables validation sets, and the hammock tables, which the first hammock read fills
+TABLES = ("labels", "label_set", "ins", "outs", "knit_plan", "omega_steps", "phi_steps",
+          "origins", "h", "h_star", "m_delta")
+HAMMOCK_TABLES = ("lanes", "incidence", "columns")
+
+
+def assert_tables_equal(d, interned):
+    for name in TABLES:
+        assert getattr(d, name) == getattr(interned, name), (d, name)
+    assert hammock_incidence(d) == hammock_incidence(interned)
+    assert d.lanes == interned.lanes and d.lanes is not None, d
+
+
 @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 6), ("E", 6)])
 def test_copied_diagrams_keep_their_tables(family, rank):
     d = Diagram(family, rank)
@@ -119,6 +132,7 @@ def test_copied_diagrams_keep_their_tables(family, rank):
     message = f"label 9 is not a vertex of {family}{rank}"
     for c in copies:
         assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+        assert_tables_equal(c, quiver._diagram(family, rank))
         for t in d.labels:
             c.check_label(t)
             assert omega(c, Vertex(3, t)) == omega(d, Vertex(3, t))
@@ -135,16 +149,17 @@ E_COXETER = {6: 12, 7: 18, 8: 30}
 @pytest.mark.parametrize(
     "family,ranks", [("A", range(1, 41)), ("D", range(4, 41)), ("E", range(6, 9))]
 )
-def test_fresh_and_interned_diagrams_share_their_tables(family, ranks):
+def test_fresh_and_interned_diagrams_hold_equal_tables(family, ranks):
     for rank in ranks:
         fresh, interned = Diagram(family, rank), quiver._diagram(family, rank)
         assert fresh is not interned
-        # one omega table per diagram, however the diagram was built
-        assert interned.omega_steps is _omega_steps(family, rank) is fresh.omega_steps
-        assert fresh.labels == interned.labels
-        assert fresh.label_set == interned.label_set == frozenset(fresh.labels)
+        # each diagram holds tables of its own, equal however the diagram was built
+        assert [getattr(fresh, name) for name in HAMMOCK_TABLES] == [None, None, {}]
+        assert fresh.omega_steps is not interned.omega_steps
+        assert_tables_equal(fresh, interned)
+        assert fresh.label_set == frozenset(fresh.labels)
         h = {"A": rank + 1, "D": 2 * rank - 2}.get(family) or E_COXETER[rank]
-        assert fresh.m_delta == interned.m_delta == h - 1, rank
+        assert fresh.h == h and fresh.m_delta == interned.m_delta == h - 1, rank
         assert fresh.h_star == interned.h_star == (h if family == "A" else h // 2), rank
         for t in fresh.labels:
             for x in (-3, 0, 5):
@@ -190,27 +205,31 @@ SWEEPS = [("A", 1, {"rank_max": 6, "n_max": 8}), ("A", 2, {"rank_max": 7, "u_max
 
 
 def test_each_diagram_is_validated_once_across_sweeps(monkeypatch):
-    # fresh memos, so that every diagram of the grid is validated here
+    # a fresh memo, so that every diagram of the grid is validated and knitted here
     monkeypatch.setattr(quiver, "_interned", lru_cache(maxsize=None)(Diagram))
-    monkeypatch.setattr(rigidity, "_origin_vertices",
-                        lru_cache(maxsize=None)(rigidity._origin_vertices.__wrapped__))
-    validated = Counter()
-    post_init = Diagram.__post_init__
+    validated, knitted = Counter(), Counter()
+    post_init, kernel = Diagram.__post_init__, quiver._knit_lanes
 
     def counted(self):
         validated[self.family, self.rank] += 1
         post_init(self)
 
+    def counted_knit(diagram):
+        knitted[diagram.family, diagram.rank] += 1
+        return kernel(diagram)
+
     monkeypatch.setattr(Diagram, "__post_init__", counted)
+    monkeypatch.setattr(quiver, "_knit_lanes", counted_knit)
     types = [at for delta, s, bounds in SWEEPS for at in sweep_types(delta, s, **bounds)]
+    assert agreement(types)[1] == []
     for atype in types:
         for t in atype.diagram.labels:
             rd_closed(atype, t)
+            is_maximal_orthogonal(atype, Vertex(0, t), 2)
     distinct = {(at.diagram.family, at.diagram.rank) for at in types}
-    for family, rank in distinct:
-        quiver._knit_lanes.__wrapped__(family, rank)
-    assert len(types) > 2 * len(distinct)  # validating per type would show
+    assert len(types) > 2 * len(distinct)  # validating or knitting per type would show
     assert validated == Counter(dict.fromkeys(distinct, 1))
+    assert knitted == validated
 
 
 @pytest.mark.parametrize(

@@ -419,6 +419,8 @@ def test_table_rows_match_omega_and_tau_applied_literally(atype):
             assert w == Vertex(dx, labels[k]), t
             assert pattern == rows[labels[k]][1][1][1], t
         assert phases[1][2] == labels.index(t)  # omega^2 fixes every label
+        # the phases are the diagram's phase table: omega's step, and omega^2 = (h, t)
+        assert [(dx, labels[k]) for dx, _, k in phases] == [d.omega_steps[t], (d.h, t)], t
         # the end vertex tau.omega^r(0, t) as the certificate reads it off the phases
         w = Vertex(0, t)
         for r in range(2 * p + 4):

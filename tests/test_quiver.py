@@ -36,19 +36,13 @@ from rigidity_kit import (
     se_oracle,
     tau,
 )
-from rigidity_kit.quiver import (
-    _omega_steps,
-    _structure,
-    hammock_columns,
-    hammock_incidence,
-    orbit_residues,
-)
+from rigidity_kit.quiver import hammock_columns, hammock_incidence, orbit_residues
 
 
 def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
     """Inverse of ``omega``: it maps (x, t) to (x + dx, t'), so undo that."""
     diagram.check_label(v.t)
-    for t, (dx, image) in _omega_steps(diagram.family, diagram.rank).items():
+    for t, (dx, image) in diagram.omega_steps.items():
         if image == v.t:
             return Vertex(v.x - dx, t)
     raise AssertionError("omega permutes the labels")  # pragma: no cover
@@ -56,7 +50,7 @@ def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
 
 def reference_sinks_first(labels, outs) -> tuple:
     """The sinks-first label order as a quadratic scan that tests membership in the list
-    placed so far: the reference for ``_structure``'s order."""
+    placed so far: the reference for the order of ``Diagram.knit_plan``."""
     placed: list = []
     remaining = sorted(labels, key=quiver._label_key)
     while remaining:
@@ -424,10 +418,14 @@ class TestTables:
     )
     def test_sinks_first_order_matches_the_quadratic_scan(self, family, ranks):
         for rank in ranks:
-            labels, _, ins, outs, _ = _structure(family, rank)
+            d = Diagram(family, rank)
+            labels, ins, outs = d.labels, d.ins, d.outs
             # == compares the frozenset by value, not by its repr, which the string hash seed orders
-            assert _structure(family, rank) == (
-                labels, frozenset(labels), ins, outs, reference_sinks_first(labels, outs)
+            assert d.label_set == frozenset(labels) and list(ins) == list(outs) == list(labels)
+            index = labels.index
+            assert d.knit_plan == tuple(
+                (index(c), tuple(map(index, ins[c])), tuple(map(index, outs[c])))
+                for c in reference_sinks_first(labels, outs)
             ), f"{family}{rank}"
 
     @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
@@ -823,10 +821,9 @@ class TestHammockIdentities:
         assert len(hammock_plus(d, v)) == len(hammock_minus(d, v))
 
 
-def _reachable(family, rank, t0, against):
+def _reachable(d, t0, against):
     """Labels with a directed path to t0 (against=True) or from t0: the reference's slice 0."""
-    _, _, ins, outs, _ = _structure(family, rank)
-    step = ins if against else outs
+    step = d.ins if against else d.outs
     seen = {t0}
     frontier = [t0]
     while frontier:
@@ -838,18 +835,19 @@ def _reachable(family, rank, t0, against):
     return frozenset(seen)
 
 
-def reference_knit_profile(family, rank, t0, forward):
+def reference_knit_profile(d, t0, forward):
     """The dict-per-slice knitting that ``_knit_profile`` replaced, kept as a reference."""
-    labels, _, ins, outs, order = _structure(family, rank)
+    family, rank, labels, ins, outs = d.family, d.rank, d.labels, d.ins, d.outs
+    order = tuple(labels[c] for c, _, _ in d.knit_plan)
     if t0 not in labels:
         raise ValueError(f"label {t0!r} is not a vertex of {family}{rank}")
     if forward:
         ins, outs = outs, ins
         order = tuple(reversed(order))
-    start = _reachable(family, rank, t0, against=not forward)
+    start = _reachable(d, t0, against=not forward)
     cur = {c: (1 if c in start else 0) for c in labels}
     profile = [cur]
-    cap = 4 * Diagram(family, rank).m_delta + 8
+    cap = 4 * d.m_delta + 8
     mesh = [(c, ins[c], outs[c]) for c in order]
     for _ in range(cap):
         nxt = {}
@@ -875,26 +873,15 @@ def reference_knit_profile(family, rank, t0, forward):
     raise RuntimeError(f"knitting from {t0!r} on {family}{rank} did not terminate")
 
 
-@pytest.fixture
-def cold_hammocks():
-    """Empty every hammock cache before and after the test."""
-    caches = (quiver._knit_lanes, quiver._hammock_column, hammock_columns, hammock_incidence)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 def lane_profile(d, t, forward):
-    """The hammock at (0, t) as ``reference_knit_profile`` gives it, read off ``_knit_lanes``.
+    """The hammock at (0, t) as ``reference_knit_profile`` gives it, read off the knitted lanes.
 
     Backward it is lane t of every cell; forward it is the row of cell t, since
     z lies in the forward hammock of v exactly when v lies in the backward one of z.
     """
     labels = d.labels
     n, k = len(labels), labels.index(t)
-    lanes = quiver._knit_lanes(d.family, d.rank)
+    lanes = d.lanes or quiver._knit_lanes(d)
     if forward:
         slices = (lanes[k][i:i + n] for i in range(0, len(lanes[k]), n))
     else:
@@ -915,8 +902,9 @@ class TestKnitKernel:
     )
     def test_matches_reference_knitting(self, family, ranks):
         for rank in ranks:
-            for t, forward, profile in all_profiles(Diagram(family, rank)):
-                expected = reference_knit_profile(family, rank, t, forward)
+            d = Diagram(family, rank)
+            for t, forward, profile in all_profiles(d):
+                expected = reference_knit_profile(d, t, forward)
                 assert profile == expected, (family, rank, t, forward)
 
     @pytest.mark.parametrize("rank", range(1, 41))
@@ -937,36 +925,34 @@ class TestKnitKernel:
             largest = max(k for _, _, p in all_profiles(d) for slice_ in p for _, k in slice_)
             assert largest == top, (family, rank)
 
-    def test_lane_overflow_raises_instead_of_a_wrong_hammock(self, monkeypatch, cold_hammocks):
+    def test_lane_overflow_raises_instead_of_a_wrong_hammock(self):
         # cell c of the next slice is twice cell c - 1 of this one: 1, 2, 4, 8, 16 on A5
-        def doubling(family, rank):
-            return tuple((c, (c - 1, c - 1, c) if c else (c,), ()) for c in range(rank))
-
-        monkeypatch.setattr(quiver, "_knit_plan", doubling)
-        d = Diagram("A", 5)
+        doubling = tuple((c, (c - 1, c - 1, c) if c else (c,), ()) for c in range(5))
+        d = Diagram("A", 5)  # a diagram of its own, so no other test reads its plan
+        object.__setattr__(d, "knit_plan", doubling)
         for read in (lambda: hammock_columns(d, 1), lambda: hammock_incidence(d),
                      lambda: hammock_plus(d, Vertex(0, 1))):
             with pytest.raises(RuntimeError, match="knitting on A5 overflowed its byte lanes"):
                 read()
 
-    def test_one_knit_serves_every_reader(self, monkeypatch, cold_hammocks):
-        # the cache sits on ``_knit_lanes`` itself, so count the plans it knits from
+    def test_one_knit_serves_every_reader(self, monkeypatch):
+        # the diagram holds its lanes, so count the runs of the kernel
         knits = []
-        plan = quiver._knit_plan
+        kernel = quiver._knit_lanes
 
-        def counted(family, rank):
-            knits.append((family, rank))
-            return plan(family, rank)
+        def counted(diagram):
+            knits.append(diagram)
+            return kernel(diagram)
 
-        monkeypatch.setattr(quiver, "_knit_plan", counted)
+        monkeypatch.setattr(quiver, "_knit_lanes", counted)
         d = Diagram("D", 12)
         for t in d.labels:
-            quiver._hammock_column("D", 12, t, SPINE_MINUS)
+            d.hammock_column(t, SPINE_MINUS)
             hammock_columns(d, t)
         hammock_incidence(d)
         hammock_minus(d, Vertex(4, SPINE_PLUS))
         hammock_plus(d, Vertex(0, 3))
-        assert knits == [("D", 12)]
+        assert len(knits) == 1 and knits[0] is d
 
     @pytest.mark.parametrize(
         "family,rank", [("D", r) for r in range(4, 41)] + [("E", 7), ("E", 8)]
@@ -985,7 +971,7 @@ class TestKnitKernel:
             for t in d.labels:
                 columns = hammock_columns(d, t)
                 for c in d.labels:
-                    read = quiver._hammock_column(family, rank, t, c)
+                    read = d.hammock_column(t, c)
                     assert read == columns.get(c, ()), (rank, t, c)
 
     @pytest.mark.parametrize(

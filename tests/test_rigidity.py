@@ -35,7 +35,7 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
-from rigidity_kit.quiver import _hammock_column, _omega_steps, _orbit_offsets, orbit_offsets
+from rigidity_kit.quiver import _orbit_offsets, orbit_offsets
 from rigidity_kit.rigidity import _closed_plan, _Staircase
 from test_euclid import s_at
 from test_orthogonal import REFERENCE_TYPES
@@ -240,9 +240,7 @@ class TestOracle:
 
     def test_walk_without_self_extension_fails_fast(self, monkeypatch):
         # an empty hammock never meets the walk; the step cap must stop it
-        from rigidity_kit import rigidity
-
-        monkeypatch.setattr(rigidity, "_hammock_column", lambda family, rank, t, c: ())
+        monkeypatch.setattr(Diagram, "hammock_column", lambda self, t, c: ())
         with pytest.raises(RuntimeError, match="no self-extension"):
             rd_oracle(NAKAYAMA_17_9, Vertex(0, 1))
 
@@ -590,23 +588,27 @@ def test_orbit_offsets_reads_the_plain_keyed_memo():
     assert _orbit_offsets.cache_info().misses == 1
 
 
+def on_a_fresh_diagram(at):
+    """The type on a new ``Diagram``, whose hammock tables are empty."""
+    return AlgebraType(Diagram(at.diagram.family, at.diagram.rank), at.s, at.n)
+
+
 @given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
 @settings(max_examples=40, deadline=None)
 def test_cell_reader_memo_is_invisible(types):
     def reports(at, t):
         return rd_oracle(at, Vertex(0, t)), se_oracle(at, Vertex(3, t), 2 * at.period + 3)
 
-    # cold: every call from an empty reader memo, so no call reads a cell another read
+    # cold: every call on a diagram with no cell read, so no call reads a cell another read
     cold = {}
     for at in types:
         cold[at] = []
         for t in at.diagram.labels:
-            _hammock_column.cache_clear()
-            cold[at].append(reports(at, t))
+            cold[at].append(reports(on_a_fresh_diagram(at), t))
     for at in types:
         # warm: one type's labels in a row
-        _hammock_column.cache_clear()
-        assert [reports(at, t) for t in at.diagram.labels] == cold[at]
+        fresh = on_a_fresh_diagram(at)
+        assert [reports(fresh, t) for t in at.diagram.labels] == cold[at]
     # alternated: the types label by label, reading cells the others left
     alternated = {at: [] for at in types}
     for k in range(max(len(at.diagram.labels) for at in types)):
@@ -621,10 +623,16 @@ def test_cell_reader_memo_is_invisible(types):
 )
 def test_omega_squared_fixes_every_label(family, ranks):
     # so a walk from t meets the labels t and omega(t) only; the ranks cover every
-    # diagram of the benchmark (A41 s=2 the largest) and of the verify sweeps
+    # diagram of the benchmark (A41 s=2 the largest) and of the verify sweeps.  The
+    # phase table, omega's steps and h, is omega applied once and twice
     for rank in ranks:
-        steps = _omega_steps(family, rank)
-        assert all(steps[steps[t][1]][1] == t for t in steps), (family, rank)
+        d = Diagram(family, rank)
+        assert d.h == d.m_delta + 1 and list(d.omega_steps) == list(d.labels), (family, rank)
+        for t, (dx, t1) in d.omega_steps.items():
+            for x in (-3, 0, 5):
+                w = omega(d, Vertex(x, t))
+                assert w == Vertex(x + dx, t1), (family, rank, t)
+                assert omega(d, w) == Vertex(x + d.h, t), (family, rank, t)
 
 
 @pytest.mark.parametrize(
@@ -636,14 +644,14 @@ def test_omega_squared_fixes_every_label(family, ranks):
 )
 def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
     d = at.diagram
-    reader = _hammock_column
+    reader = Diagram.hammock_column
     read = []
 
-    def counted(family, rank, t, c):
+    def counted(self, t, c):
         read.append((t, c))
-        return reader(family, rank, t, c)
+        return reader(self, t, c)
 
-    monkeypatch.setattr(rigidity, "_hammock_column", counted)
+    monkeypatch.setattr(Diagram, "hammock_column", counted)
     for t in d.labels:
         # the witness by literal steps, against every vertex of the hammock
         v, period = Vertex(0, t), at.period
@@ -652,10 +660,10 @@ def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
         while not any((c, (w.x + dx) % period) in target for c, dx in orbit_offsets(at)[w.t]):
             w, literal = omega(d, w), literal + 1
         read.clear()
-        reader.cache_clear()
-        assert rd_oracle(at, v).witness == literal, t
+        cold = on_a_fresh_diagram(at)
+        assert rd_oracle(cold, v).witness == literal, t
         assert 0 < len(read) <= 2 * at.s, (t, read)
-        assert reader.cache_info().misses <= 2 * at.s, t
+        assert len(cold.diagram.columns) <= 2 * at.s, t
 
 
 @pytest.mark.parametrize(
