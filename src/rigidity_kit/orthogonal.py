@@ -33,7 +33,7 @@ __all__ = ["OrthogonalityCertificate", "RigdimFormula", "RigdimVerification",
            "is_maximal_orthogonal", "rigdim_closed", "rigdim_verify"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrthogonalityCertificate:
     """Result of checking one orbit for maximal r-orthogonality.
 

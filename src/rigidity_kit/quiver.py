@@ -6,21 +6,21 @@ twist phi, membership in and reduction modulo the admissible group
 of the stable Hom functor, knitted on the mesh and returned as frozensets
 of vertices, and one DOT writer for hammocks and orbit quivers.
 
-A diagram's geometry has one home: its ``Diagram``, which holds every
-table as an attribute.  Validation sets its structure, the omega and phi
-step tables, the origin vertices and the phase table; the knitted hammocks
-are built on the first hammock read and held beside them.  ``omega`` and
-``phi`` index the step tables.  Every backward hammock is knitted in one
-pass on byte lanes by ``_knit_lanes``.  The lanes are read one cell at a
-time (``Diagram.hammock_column``) for the oracle, ``hammock_columns`` and
-``hammock_minus``, transposed for the certificate (``hammock_incidence``)
-and as forward hammocks for ``hammock_plus``.  Only
-the orbit offsets depend on the type; they are memoised for the last type.
-An algebra type is the triple (diagram, s, n), with its u = n / m_delta
-derived; its constructors take one interned ``Diagram`` per (family, rank),
-validated once.  Vertices are checked where they enter, by
-``Diagram.check_vertex`` (labels by ``Diagram.check_label``), not on every
-step.
+A diagram's geometry has one home: its ``Diagram``, which holds every table as
+an attribute.  Validation sets its structure (its labels placed sinks first in
+one Kahn pass), the omega and phi step tables, the origin vertices and the
+phase table; the knitted hammocks are built on the first hammock read and held
+beside them.  ``omega`` and ``phi`` index the step tables.  Every backward
+hammock is knitted in one pass on byte lanes by ``_knit_lanes``.  The lanes are
+read one cell at a time (``Diagram.hammock_column``) for the oracle,
+``hammock_columns`` and ``hammock_minus``, transposed for the certificate
+(``hammock_incidence``) and as forward hammocks for ``hammock_plus``.  Only the
+orbit offsets depend on the type; they are memoised for the last type.  An
+algebra type is the triple (diagram, s, n), with u = n / m_delta derived, on
+one interned ``Diagram`` per (family, rank), validated once; its ``__init__``
+fills its slots and validates the triple, and ``create`` parses only a str u.
+Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels by
+``Diagram.check_label``), not on every step.
 
 Coordinates: a vertex is a pair ``(x, t)`` with integer slice coordinate x
 and Dynkin label t; tau shifts x by +1 and arrows point towards smaller x.
@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heappop, heappush
 from itertools import chain, compress, count
 from operator import or_
 from typing import Union
@@ -79,7 +80,7 @@ def _label_key(t: Label) -> tuple[int, int]:
     return (1, 0 if t == SPINE_PLUS else 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
     """A vertex (x, t) of ZD: slice coordinate x, Dynkin label t.
 
@@ -166,6 +167,9 @@ class Diagram:
         for name, table in tables:
             object.__setattr__(self, name, table)
 
+    def __reduce__(self):  # copies are the interned diagram: no second knitting, no __dict__
+        return _diagram, (self.family, self.rank)
+
     def check_label(self, t: Label) -> None:
         """Raise ``ValueError`` unless t is one of the labels, by type and value.
 
@@ -232,19 +236,20 @@ def _structure(family: str, rank: int):
     for a, b in arrows:
         ins[b] += (a,)
         outs[a] += (b,)
-    # sinks-first topological order: every out-neighbour precedes its source
-    placed: dict[Label, None] = {}  # ordered, with set membership
-    remaining = sorted(labels, key=_label_key)
-    while remaining:
-        c = next(c for c in remaining if all(b in placed for b in outs[c]))
-        placed[c] = None
-        remaining.remove(c)
-    index = {c: i for i, c in enumerate(labels)}
-    plan = tuple(
-        (index[c], tuple(index[a] for a in ins[c]), tuple(index[b] for b in outs[c]))
-        for c in placed
-    )
-    return labels, ins, outs, plan
+    index = dict(zip(labels, count()))
+    ins_at, outs_at = ([tuple([index[b] for b in ends[c]]) for c in labels] for ends in (ins, outs))
+    # sinks first (out-neighbours before their source) in one Kahn pass, smallest ready index first
+    pending = [len(b) for b in outs_at]
+    ready = [c for c, p in enumerate(pending) if not p]  # ascending, so already a heap
+    plan = []
+    while ready:
+        c = heappop(ready)
+        plan.append((c, ins_at[c], outs_at[c]))
+        for a in ins_at[c]:
+            pending[a] -= 1
+            if not pending[a]:
+                heappush(ready, a)
+    return labels, ins, outs, tuple(plan)
 
 
 def tau(v: Vertex, steps: int = 1) -> Vertex:
@@ -284,13 +289,16 @@ def omega(diagram: Diagram, v: Vertex) -> Vertex:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AlgebraType:
     """A validated triple (diagram, twist order s, tau-exponent n).
 
-    The admissible group is generated by ``tau^n . phi`` where phi is the
-    order-s twist.  The frequency ``u = n / m_delta`` is derived from n, an
-    exact rational because several closed forms key on residues of u.
+    The admissible group is generated by ``tau^n . phi`` where phi is the order-s
+    twist.  The frequency ``u = n / m_delta`` is derived from n, an exact rational
+    because several closed forms key on residues of u.  ``__init__`` is written out,
+    like ``Vertex``'s: it stores each field through its slot descriptor, then
+    validates.  ``create`` reads the numerator and denominator of an int or
+    ``Fraction`` u as given, and parses a str u only.
     """
 
     diagram: Diagram
@@ -301,32 +309,35 @@ class AlgebraType:
         # agrees with ==, and hashes the diagram's fields without a call to Diagram.__hash__
         return hash((self.diagram.family, self.diagram.rank, self.s, self.n))
 
-    def __post_init__(self) -> None:
-        fam, rank = self.diagram.family, self.diagram.rank
-        if type(self.s) is not int or self.s not in (1, 2, 3):
-            raise ValueError(f"twist order must be 1, 2 or 3, got {self.s!r}")
-        if type(self.n) is not int:
-            raise ValueError(f"tau-exponent must be an integer, got {self.n!r}")
-        if self.n < 1:
+    def __init__(self, diagram: Diagram, s: int, n: int) -> None:
+        _set_type_diagram(self, diagram)
+        _set_type_s(self, s)
+        _set_type_n(self, n)
+        fam, rank = diagram.family, diagram.rank
+        if type(s) is not int or s not in (1, 2, 3):
+            raise ValueError(f"twist order must be 1, 2 or 3, got {s!r}")
+        if type(n) is not int:
+            raise ValueError(f"tau-exponent must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError(f"u must be positive, got {self.u}")
-        m = self.diagram.m_delta
-        den = m // math.gcd(self.n, m)  # of u = n / m_delta in lowest terms
+        m = diagram.m_delta
+        den = m // math.gcd(n, m)  # of u = n / m_delta in lowest terms
         integral = den == 1
         if fam == "A":
-            if self.s == 2:
+            if s == 2:
                 if rank < 3 or rank % 2 == 0:
                     raise ValueError("twist order 2 in type A needs odd rank >= 3")
                 if not integral:
                     raise ValueError("twist order 2 in type A needs integral u")
-            elif self.s != 1:
+            elif s != 1:
                 raise ValueError("type A admits twist orders 1 and 2 only")
         elif fam == "D":
-            if self.s == 3:
+            if s == 3:
                 if rank != 4:
                     raise ValueError("twist order 3 happens for D4 only")
                 if not integral:
                     raise ValueError("twist order 3 needs integral u")
-            elif self.s == 2:
+            elif s == 2:
                 if not integral:
                     raise ValueError("twist order 2 in type D needs integral u")
             elif not integral:
@@ -337,9 +348,9 @@ class AlgebraType:
                         f"u={self.u}, rank={rank}"
                     )
         else:
-            if self.s == 2 and rank != 6:
+            if s == 2 and rank != 6:
                 raise ValueError("twist order 2 in type E happens for E6 only")
-            if self.s == 3:
+            if s == 3:
                 raise ValueError("type E admits twist orders 1 and 2 only")
             if not integral:
                 raise ValueError("type E needs integral u")
@@ -348,16 +359,15 @@ class AlgebraType:
     def create(cls, family: str, rank: int, u: Fraction | int | str, s: int = 1) -> "AlgebraType":
         """The type of u = n / m_delta on the interned diagram."""
         diagram = _diagram(family, rank)
-        if type(u) not in (Fraction, int, str):
+        if type(u) is str:
+            if not _U_PATTERN.fullmatch(u.removeprefix("-")):  # -1 meets u > 0
+                raise ValueError(f"u must be an exact rational like '17/8', got {u!r}")
+            u = Fraction(u)
+        elif type(u) is not int and type(u) is not Fraction:
             raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
-        if type(u) is str and not _U_PATTERN.fullmatch(u.removeprefix("-")):  # -1 meets u > 0
-            raise ValueError(f"u must be an exact rational like '17/8', got {u!r}")
-        frac = Fraction(u)
-        n, rest = divmod(frac.numerator * diagram.m_delta, frac.denominator)
-        if rest:
-            raise ValueError(
-                f"u={frac} gives non-integral tau-exponent for {family}{rank}"
-            )
+        n, rest = divmod(u.numerator * diagram.m_delta, u.denominator)
+        if rest:  # an int prints as the Fraction it equals
+            raise ValueError(f"u={u} gives non-integral tau-exponent for {family}{rank}")
         return cls(diagram, s, n)
 
     @classmethod
@@ -379,17 +389,22 @@ class AlgebraType:
         return f"({self.diagram.family}{self.diagram.rank}, {self.u}, {self.s})"
 
 
+_set_type_diagram, _set_type_s, _set_type_n = (
+    AlgebraType.diagram.__set__, AlgebraType.s.__set__, AlgebraType.n.__set__)
+
+
 def _phi_steps(family: str, rank: int, labels: tuple, omega_steps: dict) -> dict[int, dict]:
-    """phi as tables like ``omega_steps``, one per twist order s the diagram has."""
+    """phi as tables like ``omega_steps``, one per twist order s a type on the diagram admits."""
     tables: dict[int, dict[Label, tuple[int, Label]]] = {1: {t: (0, t) for t in labels}}
-    if family == "A":
+    if family == "A" and rank % 2 and rank > 1:
         m = rank + 1
         tables[2] = {t: (t - m // 2, m - t) for t in labels}
     elif family == "D":
-        cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
         tables[2] = {t: (0, _SPINE_FLIP.get(t, t)) for t in labels}
-        tables[3] = {t: (0, cycle.get(t, t)) for t in labels}
-    elif rank == 6:  # E6, s == 2: tau^-6 . omega
+        if rank == 4:
+            cycle: dict[Label, Label] = {1: SPINE_MINUS, SPINE_MINUS: SPINE_PLUS, SPINE_PLUS: 1}
+            tables[3] = {t: (0, cycle.get(t, t)) for t in labels}
+    elif family == "E" and rank == 6:  # s == 2: tau^-6 . omega
         tables[2] = {t: (dx - 6, image) for t, (dx, image) in omega_steps.items()}
     return tables
 

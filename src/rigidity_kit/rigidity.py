@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RigidityReport:
     """Rigidity degree of one vertex plus provenance.
 

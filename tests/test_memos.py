@@ -142,6 +142,28 @@ def test_copied_diagrams_keep_their_tables(family, rank):
             assert str(info.value) == message
 
 
+def test_copies_hold_the_interned_diagram():
+    atype = AlgebraType.create("D", 6, Fraction(7, 3))
+    interned = quiver._diagram("D", 6)
+    held = [(Diagram("D", 6), lambda c: c), (atype, lambda c: c.diagram),
+            (rd_oracle(atype, Vertex(0, 1)), lambda c: c.atype.diagram),
+            (is_maximal_orthogonal(atype, Vertex(0, 1), 3), lambda c: c.atype.diagram)]
+    for obj, diagram_of in held:
+        copies = [pickle.loads(pickle.dumps(obj, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(obj), copy.deepcopy(obj)]
+        for c in copies:
+            assert type(c) is type(obj) and c == obj and hash(c) == hash(obj), obj
+            assert diagram_of(c) is interned, obj
+    # replace builds a new diagram, validated and with tables of its own
+    replaced = dataclasses.replace(interned)
+    assert replaced == interned and replaced is not interned
+    assert replaced.omega_steps == interned.omega_steps
+    assert replaced.omega_steps is not interned.omega_steps
+    with pytest.raises(ValueError, match="type D needs rank >= 4, got 3"):
+        dataclasses.replace(interned, rank=3)
+
+
 # Coxeter numbers h of E6, E7 and E8; A_r has h = r + 1 and D_r has h = 2r - 2
 E_COXETER = {6: 12, 7: 18, 8: 30}
 

@@ -232,6 +232,21 @@ class TestPhi:
                 v = Vertex(3, t)
                 assert phi(at, tau(v)) == tau(phi(at, v))
 
+    @pytest.mark.parametrize(
+        "family,ranks", [("A", range(1, 41)), ("D", range(4, 41)), ("E", range(6, 9))]
+    )
+    def test_tables_only_for_the_twist_orders_a_type_admits(self, family, ranks):
+        def admits(d, s):
+            try:
+                AlgebraType(d, s, d.m_delta)
+            except ValueError:
+                return False
+            return True
+
+        for rank in ranks:
+            d = Diagram(family, rank)
+            assert set(d.phi_steps) == {s for s in (1, 2, 3) if admits(d, s)}, f"{family}{rank}"
+
     def test_generator_power_is_pure_translation(self):
         for at in (
             AlgebraType.create("A", 7, Fraction(5, 7), 1),
@@ -476,6 +491,30 @@ class TestAlgebraTypeValidation:
         AlgebraType.create("E", 6, 2, 2)
         with pytest.raises(ValueError):
             AlgebraType.create("E", 7, 2, 2)
+
+    @pytest.mark.parametrize(
+        "family,rank,u,s",
+        [("A", 5, 3, 1), ("A", 5, 3, 2), ("D", 6, Fraction(7, 3), 1), ("D", 6, 2, 2),
+         ("D", 4, 2, 3), ("E", 7, 5, 1), ("E", 6, 2, 2)],
+        ids=repr,
+    )
+    def test_slotted_type_keeps_value_semantics(self, family, rank, u, s):
+        at = AlgebraType.create(family, rank, u, s)
+        assert not hasattr(at, "__dict__")
+        for name in ("diagram", "s", "n"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(at, name, getattr(at, name))
+        copies = [pickle.loads(pickle.dumps(at, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(at), copy.deepcopy(at), dataclasses.replace(at)]
+        for c in copies:
+            assert type(c) is AlgebraType and c == at and hash(c) == hash(at)
+            assert repr(c) == repr(at) and c.describe() == at.describe()
+        frac = Fraction(u)
+        spellings = [frac, str(frac)] + ([int(u)] if frac.denominator == 1 else [])
+        for spelled in spellings:
+            made = AlgebraType.create(family, rank, spelled, s)
+            assert made == at and hash(made) == hash(at) and made.describe() == at.describe()
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
