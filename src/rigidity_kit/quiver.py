@@ -12,13 +12,13 @@ one Kahn pass), the omega and phi step tables, the origin vertices and the
 phase table; the knitted hammocks are built on the first hammock read and held
 beside them.  ``omega`` and ``phi`` index the step tables.  Every backward
 hammock is knitted in one pass on byte lanes by ``_knit_lanes``.  The lanes are
-read one cell at a time (``Diagram.hammock_column``) for the oracle,
-``hammock_columns`` and ``hammock_minus``, transposed for the certificate
-(``hammock_incidence``) and as forward hammocks for ``hammock_plus``.  Only the
-orbit offsets depend on the type; they are memoised for the last type.  An
-algebra type is the triple (diagram, s, n), with u = n / m_delta derived, on
-one interned ``Diagram`` per (family, rank), validated once; its ``__init__``
-fills its slots and validates the triple, and ``create`` parses only a str u.
+read one cell at a time (``Diagram.hammock_column``) for the oracle and
+``hammock_minus``, transposed for the certificate (``hammock_incidence``) and
+as forward hammocks for ``hammock_plus``.  Only the orbit offsets depend on the
+type; they are memoised for the last type.  An algebra type is the triple
+(diagram, s, n), with u = n / m_delta derived, on one interned ``Diagram`` per
+(family, rank), validated once; its ``__init__`` fills its slots and validates
+the triple, and ``create`` parses only a str u.
 Vertices are checked where they enter, by ``Diagram.check_vertex`` (labels by
 ``Diagram.check_label``), not on every step.
 
@@ -49,7 +49,6 @@ __all__ = [
     "Vertex",
     "group_generator",
     "group_member",
-    "hammock_columns",
     "hammock_dot",
     "hammock_incidence",
     "hammock_minus",
@@ -117,12 +116,12 @@ class Diagram:
     Validation also sets the diagram's tables as plain attributes, not
     fields, so ``==``, ``hash`` and ``repr`` read the family and rank alone:
 
-    * ``labels``, in the order of ``Vertex.sort_key``, and their frozenset
-      ``label_set``;
+    * ``labels``, in the order of ``Vertex.sort_key``;
     * ``ins`` and ``outs``, label -> its in- and out-neighbours under a fixed
       orientation, and ``knit_plan``, the mesh recurrence on label indices;
     * ``omega_steps``, label t -> (dx, t') with omega(x, t) = (x + dx, t'),
-      and ``phi_steps``, twist order s -> the same table for phi;
+      its keys the labels ``check_label`` accepts, and ``phi_steps``, twist
+      order s -> the same table for phi;
     * ``origins``, label t -> the vertex (0, t);
     * ``h``, the Coxeter number; ``h_star``, h for type A and half of it for
       D and E; and ``m_delta = h - 1``.  ``h`` and ``omega_steps`` make the
@@ -158,8 +157,8 @@ class Diagram:
         # load go through a dict.  The hammock tables come first, empty until first read.
         tables = (
             ("lanes", None), ("incidence", None), ("columns", {}),
-            ("labels", labels), ("label_set", frozenset(labels)), ("ins", ins), ("outs", outs),
-            ("knit_plan", plan), ("omega_steps", steps),
+            ("labels", labels), ("ins", ins), ("outs", outs), ("knit_plan", plan),
+            ("omega_steps", steps),
             ("phi_steps", _phi_steps(family, rank, labels, steps)),
             ("origins", {t: Vertex(0, t) for t in labels}),
             ("h", h), ("h_star", h_star), ("m_delta", h - 1),
@@ -176,7 +175,7 @@ class Diagram:
         A bool or a float equal to an integer label is rejected, as is a
         spine string outside type D.
         """
-        if type(t) not in (int, str) or t not in self.label_set:
+        if type(t) not in (int, str) or t not in self.omega_steps:
             raise ValueError(f"label {t!r} is not a vertex of {self.family}{self.rank}")
 
     def check_vertex(self, v: Vertex) -> None:
@@ -304,10 +303,6 @@ class AlgebraType:
     diagram: Diagram
     s: int
     n: int
-
-    def __hash__(self) -> int:
-        # agrees with ==, and hashes the diagram's fields without a call to Diagram.__hash__
-        return hash((self.diagram.family, self.diagram.rank, self.s, self.n))
 
     def __init__(self, diagram: Diagram, s: int, n: int) -> None:
         _set_type_diagram(self, diagram)
@@ -526,16 +521,6 @@ def _knit_lanes(diagram: Diagram) -> tuple[bytes, ...]:
     lanes = tuple(b"".join(s[c].to_bytes(n, "little") for s in slices) for c in range(n))
     object.__setattr__(diagram, "lanes", lanes)
     return lanes
-
-
-def hammock_columns(diagram: Diagram, t: Label) -> dict[Label, tuple[int, ...]]:
-    """The backward hammock of (0, t) by label: c -> the dx, ascending, with (dx, c) in it.
-
-    Read cell by cell from ``Diagram.hammock_column``; labels the hammock
-    misses have no entry.
-    """
-    diagram.check_label(t)
-    return {c: dxs for c in diagram.labels if (dxs := diagram.hammock_column(t, c))}
 
 
 def hammock_incidence(diagram: Diagram) -> dict[Label, int]:

@@ -5,11 +5,13 @@ them at their import sites by identity.  A renamed function, or an import
 site bound to a different object, would make the benchmark fail or count
 nothing, so the names are checked here with the package's own tests.
 Every ``__all__`` entry of the package and its modules must resolve too,
-so no export outlives the function it names.
+so no export outlives the function it names, and every module export must
+be re-exported by the package or used in it, so none outlives its last caller.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rigidity_kit"
+SUBMODULES = ("cli", "euclid", "orthogonal", "quiver", "rigidity")
 
 
 def _load(name: str, path: Path):
@@ -43,14 +47,34 @@ def test_traced_name_exists(module, name):
 
 
 @pytest.mark.parametrize(
-    "module", ["rigidity_kit"] + [
-        f"rigidity_kit.{name}" for name in ("cli", "euclid", "orthogonal", "quiver", "rigidity")
-    ],
+    "module", ["rigidity_kit"] + [f"rigidity_kit.{name}" for name in SUBMODULES]
 )
 def test_every_export_resolves(module):
     package = importlib.import_module(module)
     assert package.__all__ and len(set(package.__all__)) == len(package.__all__)
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+def _loads(node, inside=()):
+    """The names ``node`` loads, as a ``Name`` or an ``Attribute``, outside the body of the
+    def or class of the same name (``__all__`` lists hold strings, so they load nothing)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = (*inside, node.name)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in inside:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr not in inside:
+            yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, inside)
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_export_has_a_caller(module):
+    loaded = {name for path in PACKAGE.glob("*.py") for name in _loads(ast.parse(path.read_text()))}
+    reexported = set(importlib.import_module("rigidity_kit").__all__)
+    exports = importlib.import_module(f"rigidity_kit.{module}").__all__
+    assert [name for name in exports if name not in reexported | loaded] == []
 
 
 def test_rigidity_imports_the_memoised_weight_sequence():

@@ -22,12 +22,16 @@ from rigidity_kit import (
     agreement,
     is_maximal_orthogonal,
     omega,
+    omega_period,
     quiver,
     rd_closed,
     rd_oracle,
+    rigdim_closed,
+    rigdim_verify,
     se_oracle,
     sweep_types,
 )
+from rigidity_kit.cli import main
 from rigidity_kit.quiver import hammock_incidence
 
 TYPES = [AlgebraType.create("D", 6, Fraction(7, 3), 1), AlgebraType.create("A", 5, 3, 2),
@@ -84,6 +88,48 @@ def test_type_hash_agrees_with_equality(same):
     assert len(set(same) | set(others)) == 1 + len(others)
 
 
+# one type per family and twist order, fractional type D included, with a small verify sweep
+# of the same family and twist; A5 u=1, A3 u=3 s=2 and E7 u=5 have a rigidity-dimension formula
+UNHASHED = {
+    "A5 s=1": (("A", 5, 1, 1), ["--delta", "A", "--rank-max", "3", "--n-max", "3"]),
+    "A3 s=2": (("A", 3, 3, 2), ["--delta", "A", "--s", "2", "--rank-max", "3", "--u-max", "2"]),
+    "D5 s=1": (("D", 5, 2, 1), ["--delta", "D", "--rank-max", "5", "--u-max", "2"]),
+    "D6 u=7/3": (("D", 6, Fraction(7, 3), 1),
+                 ["--delta", "D", "--fractional", "--rank-max", "6", "--u-max", "2"]),
+    "D5 s=2": (("D", 5, 2, 2), ["--delta", "D", "--s", "2", "--rank-max", "5", "--u-max", "2"]),
+    "D4 s=3": (("D", 4, 2, 3), ["--delta", "D", "--s", "3", "--u-max", "2"]),
+    "E7 s=1": (("E", 7, 5, 1), ["--delta", "E", "--rank", "7", "--u-max", "2"]),
+    "E6 s=2": (("E", 6, 2, 2), ["--delta", "E", "--rank", "6", "--s", "2", "--u-max", "2"]),
+}
+
+
+@pytest.mark.parametrize("case,verify", UNHASHED.values(), ids=UNHASHED)
+def test_no_product_path_hashes_a_type(monkeypatch, capsys, case, verify):
+    # the per-type memos of quiver, rigidity and orthogonal key on plain values
+    def refuse(self):
+        raise AssertionError(f"hashed the type {self.describe()}")
+
+    monkeypatch.setattr(AlgebraType, "__hash__", refuse)
+    family, rank, u, s = case
+    atype = AlgebraType.create(family, rank, u, s)
+    for t in atype.diagram.labels:
+        v = Vertex(0, t)
+        report = rd_oracle(atype, v)
+        assert rd_closed(atype, t).rd == report.rd
+        se_oracle(atype, v, report.witness + 2)
+        omega_period(atype, v)
+        is_maximal_orthogonal(atype, v, report.rd)
+    formula = rigdim_closed(atype)
+    assert (formula is None) == (family == "D" or rank == 6)
+    if formula is not None:
+        assert rigdim_verify(atype).passed
+    spec = ["--delta", family, "--rank", str(rank), "--u", str(u), "--s", str(s)]
+    for argv in (["rd", *spec, "--t", "1", "--oracle"], ["table", *spec], ["verify", *verify],
+                 ["rigdim", *spec], ["hammock", *spec, "--t", "1", "--orbit"]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "family,rank,u,s",
     [("A", 5, 3, 2), ("A", 8, Fraction(17, 8), 1), ("D", 6, Fraction(7, 3), 1), ("D", 4, 2, 3),
@@ -111,28 +157,29 @@ def test_diagram_tables_are_not_fields():
 
 
 # the tables validation sets, and the hammock tables, which the first hammock read fills
-TABLES = ("labels", "label_set", "ins", "outs", "knit_plan", "omega_steps", "phi_steps",
-          "origins", "h", "h_star", "m_delta")
+TABLES = ("labels", "ins", "outs", "knit_plan", "omega_steps", "phi_steps", "origins", "h",
+          "h_star", "m_delta")
 HAMMOCK_TABLES = ("lanes", "incidence", "columns")
 
 
-def assert_tables_equal(d, interned):
+def assert_tables_equal(d, reference):
     for name in TABLES:
-        assert getattr(d, name) == getattr(interned, name), (d, name)
-    assert hammock_incidence(d) == hammock_incidence(interned)
-    assert d.lanes == interned.lanes and d.lanes is not None, d
+        assert getattr(d, name) == getattr(reference, name), (d, name)
+    assert hammock_incidence(d) == hammock_incidence(reference)
+    assert d.lanes == reference.lanes and d.lanes is not None, d
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("D", 6), ("E", 6)])
 def test_copied_diagrams_keep_their_tables(family, rank):
+    # d is built apart from the interned diagram, which every copy but replace's is
     d = Diagram(family, rank)
     copies = [pickle.loads(pickle.dumps(d, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.deepcopy(d), copy.copy(d), dataclasses.replace(d)]
     message = f"label 9 is not a vertex of {family}{rank}"
     for c in copies:
-        assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
-        assert_tables_equal(c, quiver._diagram(family, rank))
+        assert c is not d and c == d and hash(c) == hash(d) and repr(c) == repr(d)
+        assert_tables_equal(c, d)
         for t in d.labels:
             c.check_label(t)
             assert omega(c, Vertex(3, t)) == omega(d, Vertex(3, t))
@@ -179,7 +226,6 @@ def test_fresh_and_interned_diagrams_hold_equal_tables(family, ranks):
         assert [getattr(fresh, name) for name in HAMMOCK_TABLES] == [None, None, {}]
         assert fresh.omega_steps is not interned.omega_steps
         assert_tables_equal(fresh, interned)
-        assert fresh.label_set == frozenset(fresh.labels)
         h = {"A": rank + 1, "D": 2 * rank - 2}.get(family) or E_COXETER[rank]
         assert fresh.h == h and fresh.m_delta == interned.m_delta == h - 1, rank
         assert fresh.h_star == interned.h_star == (h if family == "A" else h // 2), rank

@@ -26,7 +26,7 @@ from rigidity_kit import (
     tau,
 )
 from rigidity_kit import orthogonal
-from rigidity_kit.quiver import hammock_columns, orbit_offsets, orbit_residues
+from rigidity_kit.quiver import orbit_offsets, orbit_residues
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
 
@@ -201,8 +201,9 @@ def per_label_certificate(atype, v, r):
 
     The certificate's earlier design, kept as a reference at large periods:
     per omega^2 phase, a per-label pattern from the transposed backward
-    hammocks (read here from ``hammock_columns``), ORed over its rotations
-    by the omega^2 translation through binary doubling, one label at a time.
+    hammocks (read here cell by cell from ``Diagram.hammock_column``), ORed
+    over its rotations by the omega^2 translation through binary doubling,
+    one label at a time.
     """
     d, period = atype.diagram, atype.period
     full = (1 << period) - 1
@@ -225,8 +226,8 @@ def per_label_certificate(atype, v, r):
 
     incidence = {c: [] for c in d.labels}
     for t in d.labels:
-        for c, dxs in hammock_columns(d, t).items():
-            incidence[c] += [(t, dx) for dx in dxs]
+        for c in d.labels:
+            incidence[c] += [(t, dx) for dx in d.hammock_column(t, c)]
     offsets = orbit_offsets(atype)
     first = omega(d, v)
     phases = (first, omega(d, first))

@@ -36,7 +36,7 @@ from rigidity_kit import (
     se_oracle,
     tau,
 )
-from rigidity_kit.quiver import hammock_columns, hammock_incidence, orbit_residues
+from rigidity_kit.quiver import hammock_incidence, orbit_residues
 
 
 def omega_inverse(diagram: Diagram, v: Vertex) -> Vertex:
@@ -355,7 +355,6 @@ class TestTables:
             lambda u: is_maximal_orthogonal(at, Vertex(0, u), 2),
             lambda u: hammock_minus(d, Vertex(0, u)),
             lambda u: hammock_plus(d, Vertex(0, u)),
-            lambda u: hammock_columns(d, u),
             lambda u: orbit_residues(at, Vertex(0, u)),
             lambda u: group_member(at, Vertex(0, u), Vertex(0, 1)),
             lambda u: group_member(at, Vertex(0, 1), Vertex(0, u)),
@@ -435,8 +434,14 @@ class TestTables:
         for rank in ranks:
             d = Diagram(family, rank)
             labels, ins, outs = d.labels, d.ins, d.outs
-            # == compares the frozenset by value, not by its repr, which the string hash seed orders
-            assert d.label_set == frozenset(labels) and list(ins) == list(outs) == list(labels)
+            assert list(ins) == list(outs) == list(labels)
+            for t in labels:
+                d.check_label(t)
+            strangers = [True, 1.0, 0, len(labels) + 1] + ([] if family == "D" else [SPINE_PLUS])
+            for t in strangers:
+                with pytest.raises(ValueError) as info:
+                    d.check_label(t)
+                assert str(info.value) == f"label {t!r} is not a vertex of {family}{rank}"
             index = labels.index
             assert d.knit_plan == tuple(
                 (index(c), tuple(map(index, ins[c])), tuple(map(index, outs[c])))
@@ -969,7 +974,7 @@ class TestKnitKernel:
         doubling = tuple((c, (c - 1, c - 1, c) if c else (c,), ()) for c in range(5))
         d = Diagram("A", 5)  # a diagram of its own, so no other test reads its plan
         object.__setattr__(d, "knit_plan", doubling)
-        for read in (lambda: hammock_columns(d, 1), lambda: hammock_incidence(d),
+        for read in (lambda: d.hammock_column(1, 1), lambda: hammock_incidence(d),
                      lambda: hammock_plus(d, Vertex(0, 1))):
             with pytest.raises(RuntimeError, match="knitting on A5 overflowed its byte lanes"):
                 read()
@@ -986,8 +991,8 @@ class TestKnitKernel:
         monkeypatch.setattr(quiver, "_knit_lanes", counted)
         d = Diagram("D", 12)
         for t in d.labels:
-            d.hammock_column(t, SPINE_MINUS)
-            hammock_columns(d, t)
+            for c in d.labels:
+                d.hammock_column(t, c)
         hammock_incidence(d)
         hammock_minus(d, Vertex(4, SPINE_PLUS))
         hammock_plus(d, Vertex(0, 3))
@@ -1004,23 +1009,11 @@ class TestKnitKernel:
     @pytest.mark.parametrize(
         "family,ranks", [("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))]
     )
-    def test_cell_reader_matches_columns(self, family, ranks):
-        for rank in ranks:
-            d = Diagram(family, rank)
-            for t in d.labels:
-                columns = hammock_columns(d, t)
-                for c in d.labels:
-                    read = d.hammock_column(t, c)
-                    assert read == columns.get(c, ()), (rank, t, c)
-
-    @pytest.mark.parametrize(
-        "family,ranks", [("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))]
-    )
     def test_columns_reassemble_backward_cells(self, family, ranks):
         for rank in ranks:
             d = Diagram(family, rank)
             for t in d.labels:
-                columns = hammock_columns(d, t)
+                columns = {c: dxs for c in d.labels if (dxs := d.hammock_column(t, c))}
                 cells = {(dx, c) for c, dxs in columns.items() for dx in dxs}
                 profile = lane_profile(d, t, False)
                 assert cells == {(i, c) for i, p in enumerate(profile) for c, _ in p}, (rank, t)
