@@ -55,6 +55,10 @@ class EuclidData:
     s: tuple[int, ...]
     fb: tuple[int, ...]
 
+    def __init__(self, m, n, k, s, fb) -> None:
+        # one dict update, not an object.__setattr__ per field as in the generated frozen __init__
+        self.__dict__.update(m=m, n=n, k=k, s=s, fb=fb)
+
     @property
     def length(self) -> int:
         """Number of weights, written d+1 in the defining equations."""
@@ -67,19 +71,19 @@ class EuclidData:
 
 
 def weight_sequence(m: int, n: int) -> EuclidData:
-    """Run the Euclidean algorithm on ``(m, n)`` and collect its combinatorics."""
-    if not all(isinstance(a, int) and not isinstance(a, bool) for a in (m, n)):
-        raise ValueError(f"m and n must be integers, got ({m!r}, {n!r})")
+    """Run the Euclidean algorithm on ``(m, n)`` and collect its combinatorics in one loop."""
+    if type(m) is not int or type(n) is not int:  # exact ints skip the isinstance checks
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in (m, n)):
+            raise ValueError(f"m and n must be integers, got ({m!r}, {n!r})")
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be positive integers, got ({m}, {n})")
-    quotients: list[int] = []
-    remainders: list[int] = []
+    k, s, fb = [], [], [0, 1]
     prev, cur = n, m % n
-    while cur > 0:
-        quotients.append(prev // cur)
-        remainders.append(cur)
+    while cur:
+        q = prev // cur
+        k.append(q)
+        s.append(cur)
+        fb.append(q * fb[-1] + fb[-2])
         prev, cur = cur, prev % cur
-    remainders.append(0)
-    k = tuple(quotients)
-    return EuclidData(m=m, n=n, k=k, s=tuple(remainders), fb=weighted_fibonacci(k))
-
+    s.append(0)
+    return EuclidData(m, n, tuple(k), tuple(s), tuple(fb))

@@ -250,5 +250,5 @@ def rigdim_verify(atype: AlgebraType) -> RigdimVerification:
     r = formula.r
     return RigdimVerification(atype, formula, rd_matches=all_rds[0] == r,
                               rd_is_max=max(all_rds) == r == all_rds[0],
-                              certificate=is_maximal_orthogonal(atype, Vertex(0, 1), r),
+                              certificate=is_maximal_orthogonal(atype, atype.diagram.origins[1], r),
                               bridge_ok=formula.rigdim == r + 2)

@@ -296,8 +296,8 @@ class AlgebraType:
     twist.  The frequency ``u = n / m_delta`` is derived from n, an exact rational
     because several closed forms key on residues of u.  ``__init__`` is written out,
     like ``Vertex``'s: it stores each field through its slot descriptor, then
-    validates.  ``create`` reads the numerator and denominator of an int or
-    ``Fraction`` u as given, and parses a str u only.
+    validates.  ``create`` reads ``as_integer_ratio()`` of an int or ``Fraction``
+    u as given, and parses a str u only.
     """
 
     diagram: Diagram
@@ -360,7 +360,8 @@ class AlgebraType:
             u = Fraction(u)
         elif type(u) is not int and type(u) is not Fraction:
             raise ValueError(f"u must be a Fraction, an int or a str, got {u!r}")
-        n, rest = divmod(u.numerator * diagram.m_delta, u.denominator)
+        num, den = u.as_integer_ratio()
+        n, rest = divmod(num * diagram.m_delta, den)
         if rest:  # an int prints as the Fraction it equals
             raise ValueError(f"u={u} gives non-integral tau-exponent for {family}{rank}")
         return cls(diagram, s, n)

@@ -6,12 +6,13 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
   weight/Fibonacci sequences of one Euclidean division per type.  It reads
   a plan memoised for the last type, which makes that division when it is
-  built: for type A and the chain labels of type D, the staircase of the
+  built: for type A and type D with twist order 1 or 2, the staircase of the
   division, where ``bisect`` places a label among the remainders and each
-  row's result is formatted once, when a label first lands in it; the D
-  spine, D4 with twist order 3 and type E read the division per call.  The
-  report's vertex comes from the diagram's origin vertices, whose lookup is
-  also the label check;
+  row's ``(rd, branch)`` is kept once a label first lands in it, the fork
+  tips sharing one spine cell; D4 with twist order 3 and type E read the
+  division per call.  Branch strings are formatted once per process.  The
+  report, built without ``__init__``, takes its vertex from the diagram's
+  origin vertices, whose lookup is also the label check;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -38,7 +39,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
-from .quiver import AlgebraType, Label, Vertex, _diagram, _orbit_offsets, omega
+from .quiver import AlgebraType, Label, Vertex, _diagram, _object_new, _orbit_offsets, omega
 
 __all__ = [
     "RigidityReport",
@@ -92,6 +93,10 @@ _set_report_rd = RigidityReport.rd.__set__
 _set_report_branch = RigidityReport.branch.__set__
 _set_report_witness = RigidityReport.witness.__set__
 
+# Branch strings, each formatted once per process, keyed on a staircase row's
+# (prefix, kind, l, sym) or a type-E cell's (rank, s, t, u mod h*, block).
+_BRANCHES: dict[tuple, str] = {}
+
 
 class _Staircase:
     """The closed form of one type of family A, or of family D with twist order 1 or 2.
@@ -103,13 +108,14 @@ class _Staircase:
     Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.  A label
     is placed among the remainders by ``bisect``.  Its result depends only
     on the interval and on whether t is the interval's remainder, so each
-    such cell is formatted, with ``prefix``, when a label first lands in it,
-    and is shared by every later one.  A label t with 2t > ``mirror`` reads
-    the row of mirror - t, in a cell of its own marked ``+sym`` (type A,
-    mirror m; type D passes 0).  A D fork tip reads the spine formula per call.
+    such cell keeps its ``(rd, branch)`` once a label first lands in it, and
+    is shared by every later one; the cell formats nothing, its branch comes
+    from ``_BRANCHES``.  A label t with 2t > ``mirror`` reads the row of
+    mirror - t, in a cell of its own marked ``+sym`` (type A, mirror m; type
+    D passes 0).  Both D fork tips read one ``spine`` cell.
     """
 
-    __slots__ = ("data", "scale", "prefix", "mirror", "s", "ends", "cells")
+    __slots__ = ("data", "scale", "prefix", "mirror", "s", "ends", "cells", "spine")
 
     def __init__(
         self, m_pair: int, n_pair: int, scale: int, prefix: str, mirror: int, s: int
@@ -118,11 +124,14 @@ class _Staircase:
         self.scale, self.prefix, self.mirror, self.s = scale, prefix, mirror, s
         self.ends = data.s[::-1] + (n_pair,)  # ascending: ends[i] is s_{L+1-i} for i <= L
         self.cells = [None] * (4 * len(self.ends))
+        self.spine = None
 
     def lookup(self, t: Label) -> tuple[int, str]:
         """(rd, branch) of the vertex (0, t); t must be a label of the type."""
         if type(t) is str:
-            return _rd_closed_d_spine(self.data, self.s)
+            if self.spine is None:
+                self.spine = _rd_closed_d_spine(self.data, self.s)
+            return self.spine
         sym = 0 < self.mirror < 2 * t
         if sym:
             t = self.mirror - t
@@ -137,14 +146,18 @@ class _Staircase:
         fb, L, j = self.data.fb, len(ends) - 2, len(ends) - 2 - i  # fb[l + 1] is Fb_l
         l = j + (on and j % 2 == 0)
         if j < 0:
-            rd, branch = 0, "zero(l=-1)"
+            rd, kind, l = 0, "zero", -1
         elif l % 2 and l < L:
-            rd, branch = self.scale * fb[l + 1], f"closed(l={l})"
+            rd, kind = self.scale * fb[l + 1], "closed"
         elif l > j:
-            rd, branch = self.scale * (fb[L + 1] - fb[L]), f"tail(l={L})"
+            rd, kind, l = self.scale * (fb[L + 1] - fb[L]), "tail", L
         else:
-            rd, branch = self.scale * fb[j + 1] - 1, f"open(l={j})"
-        cell = self.cells[4 * i + 2 * on + sym] = (rd, self.prefix + branch + ("+sym" if sym else ""))
+            rd, kind, l = self.scale * fb[j + 1] - 1, "open", j
+        key = (self.prefix, kind, l, sym)
+        branch = _BRANCHES.get(key)
+        if branch is None:
+            branch = _BRANCHES[key] = f"{self.prefix}{kind}(l={l})" + ("+sym" if sym else "")
+        cell = self.cells[4 * i + 2 * on + sym] = (rd, branch)
         return cell
 
 
@@ -230,17 +243,21 @@ def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[i
     """Type E, from the division ``data`` of (h*, n)."""
     h_star = data.m
     res = u % h_star  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
+    block = ""
     if rank > 6:
-        key = t if t in (1, 2, rank - 1, rank) else 3
-        coeffs = (_E7_ROWS if rank == 7 else _E8_ROWS)[key][res]
-        branch = f"E{rank}:t={t},u%{h_star}={res}"
+        row = t if t in (1, 2, rank - 1, rank) else 3
+        coeffs = (_E7_ROWS if rank == 7 else _E8_ROWS)[row][res]
     elif t in (3, 6):
-        coeffs, branch = _E6_SHARED_ROWS[t][res], f"E6.s{s}:t={t},u%6={res}"
+        coeffs = _E6_SHARED_ROWS[t][res]
     else:
-        first_block = (u // 6) % 2 == (0 if s == 1 else 1)
-        table = _E6_BLOCK_A if first_block else _E6_BLOCK_B
+        block = "A" if (u // 6) % 2 == (0 if s == 1 else 1) else "B"
+        table = _E6_BLOCK_A if block == "A" else _E6_BLOCK_B
         coeffs = table[1 if t in (1, 5) else 2][res]
-        branch = f"E6.s{s}:t={t},u%6={res},blk={'A' if first_block else 'B'}"
+    key = (rank, s, t, res, block)
+    branch = _BRANCHES.get(key)
+    if branch is None:
+        branch = f"E{rank}:t={t},u%{h_star}={res}" if rank > 6 else f"E6.s{s}:t={t},u%6={res}"
+        branch = _BRANCHES[key] = branch + (f",blk={block}" if block else "")
     rd = coeffs[0]
     for i in (1, 2, 3):
         if coeffs[i]:
@@ -281,6 +298,7 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     Reads the plan of ``atype``, memoised for the last type: a label is
     checked by its lookup in the diagram's origin vertices, and on a miss
     ``Diagram.check_label`` raises.  A ``Vertex`` is frozen, so reports share them.
+    The report is a bare ``RigidityReport`` whose slots are set as ``__init__`` sets them.
     """
     diagram = atype.diagram
     lookup = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
@@ -288,7 +306,13 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     if vertex is None:
         diagram.check_label(t)
     rd, branch = lookup(t)
-    return RigidityReport(atype, vertex, rd, branch)
+    report = _object_new(RigidityReport)
+    _set_report_atype(report, atype)
+    _set_report_vertex(report, vertex)
+    _set_report_rd(report, rd)
+    _set_report_branch(report, branch)
+    _set_report_witness(report, None)
+    return report
 
 
 def _omega_walk(
@@ -461,7 +485,7 @@ def agreement(types) -> tuple[int, list[str]]:
             labels = labels[: (atype.diagram.rank + 1) // 2]
         for t in labels:
             closed = rd_closed(atype, t)
-            oracle = rd_oracle(atype, Vertex(0, t))
+            oracle = rd_oracle(atype, atype.diagram.origins[t])
             checked += 1
             if closed.rd != oracle.rd:
                 mismatches.append(

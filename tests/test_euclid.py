@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,6 +26,18 @@ def s_at(data: EuclidData, l: int) -> int:
     if 1 <= l <= data.length + 1:
         return data.s[l - 1]
     raise IndexError(f"remainder index {l} out of range [-1, {data.length + 1}]")
+
+
+def two_pass_division(m: int, n: int) -> tuple:
+    """(m, n, k, s, fb) of the division in two passes: quotients and remainders, then Fb."""
+    quotients, remainders = [], []
+    prev, cur = n, m % n
+    while cur > 0:
+        quotients.append(prev // cur)
+        remainders.append(cur)
+        prev, cur = cur, prev % cur
+    remainders.append(0)
+    return m, n, tuple(quotients), tuple(remainders), weighted_fibonacci(quotients)
 
 
 class TestWeightedFibonacci:
@@ -88,8 +104,44 @@ class TestWeightSequence:
     def test_rejects_non_integers(self, m, n, twin):
         if twin is not None:
             weight_sequence(*twin)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError) as info:
             weight_sequence(m, n)
+        assert str(info.value) == f"m and n must be integers, got ({m!r}, {n!r})"
+
+    def test_matches_two_pass_reference_on_random_pairs(self):
+        rng = random.Random(2029)
+        for i in range(3000):  # up to 10**30: m and n at their own magnitudes, or g*a and g*b
+            g = rng.randint(1, 10 ** rng.randint(0, 25)) if i % 2 else 1
+            m, n = (g * rng.randint(1, 10 ** rng.randint(0, 30 if g == 1 else 5)) for _ in "mn")
+            data = weight_sequence(m, n)
+            assert (data.m, data.n, data.k, data.s, data.fb) == two_pass_division(m, n)
+
+    def test_accepts_an_int_subclass(self):
+        class Exact(int):
+            pass
+
+        data = weight_sequence(Exact(9), Exact(17))
+        assert (data.m, data.n, data.k, data.s, data.fb) == two_pass_division(9, 17)
+        assert data == weight_sequence(9, 17) and hash(data) == hash(weight_sequence(9, 17))
+
+    def test_value_semantics(self):
+        data = weight_sequence(9, 17)
+        assert [f.name for f in dataclasses.fields(EuclidData)] == ["m", "n", "k", "s", "fb"]
+        built = EuclidData(m=9, n=17, k=(1, 1, 8), s=(9, 8, 1, 0), fb=(0, 1, 1, 2, 17))
+        assert data == built and hash(data) == hash(built)
+        assert repr(data) == (
+            "EuclidData(m=9, n=17, k=(1, 1, 8), s=(9, 8, 1, 0), fb=(0, 1, 1, 2, 17))"
+        )
+        assert data != dataclasses.replace(data, n=18)
+        for field in dataclasses.fields(EuclidData):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(data, field.name, 0)
+        copies = [pickle.loads(pickle.dumps(data, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(data), copy.deepcopy(data), dataclasses.replace(data)]
+        for c in copies:
+            assert type(c) is EuclidData and c == built and hash(c) == hash(built)
+            assert repr(c) == repr(built)
 
     def test_index_conventions(self):
         data = weight_sequence(9, 17)

@@ -18,6 +18,7 @@ from rigidity_kit import (
     SPINE_PLUS,
     AlgebraType,
     Diagram,
+    EuclidData,
     RigidityReport,
     Vertex,
     agreement,
@@ -168,6 +169,32 @@ class TestRigidityReport:
         witnessed = dataclasses.replace(report, witness=3)
         assert (witnessed.rd, witnessed.branch, witnessed.witness) == (report.rd, report.branch, 3)
 
+    # one type per family and twist: D fractional, and D's labels hold both fork tips
+    @pytest.mark.parametrize("at", [
+        NAKAYAMA_17_9, AlgebraType.create("A", 5, 3, 2),
+        AlgebraType.create("D", 7, 3, 1), AlgebraType.create("D", 6, Fraction(4, 3), 1),
+        AlgebraType.create("D", 6, 2, 2), AlgebraType.create("D", 4, 5, 3),
+        AlgebraType.create("E", 6, 7, 1), AlgebraType.create("E", 6, 7, 2),
+        AlgebraType.create("E", 7, 5, 1), AlgebraType.create("E", 8, 4, 1),
+    ], ids=lambda at: at.describe())
+    def test_closed_report_is_an_ordinary_report(self, at):
+        # rd_closed sets the slots of a bare instance, skipping __init__; nothing may tell
+        for t in at.diagram.labels:
+            report = rd_closed(at, t)
+            built = RigidityReport(at, Vertex(0, t), report.rd, report.branch)
+            assert type(report) is RigidityReport and report == built
+            assert hash(report) == hash(built) and repr(report) == repr(built)
+            assert report.witness is None
+            for field in dataclasses.fields(RigidityReport):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(report, field.name, None)
+            copies = [pickle.loads(pickle.dumps(report, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(report), copy.deepcopy(report), dataclasses.replace(report)]
+            for c in copies:
+                assert type(c) is RigidityReport and c == built and hash(c) == hash(built)
+                assert repr(c) == repr(built)
+
     def test_engine_reports_equal_keyword_built_reports(self):
         for at in REFERENCE_TYPES:
             for t in at.diagram.labels:
@@ -180,7 +207,9 @@ class TestRigidityReport:
                                                 witness=oracle.witness)
 
 
-@pytest.mark.parametrize("cls", [Vertex, RigidityReport], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "cls", [Vertex, RigidityReport, EuclidData], ids=lambda cls: cls.__name__
+)
 def test_hand_written_init_matches_fields(cls):
     """The written-out ``__init__`` takes the fields in order, with their defaults, and sets each."""
     fields = dataclasses.fields(cls)
