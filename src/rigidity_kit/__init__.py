@@ -9,7 +9,6 @@ dimensions of the single-orbit families.
 from .euclid import (
     EuclidData,
     weight_sequence,
-    weighted_fibonacci,
 )
 from .orthogonal import (
     OrthogonalityCertificate,
@@ -81,5 +80,4 @@ __all__ = [
     "sweep_types",
     "tau",
     "weight_sequence",
-    "weighted_fibonacci",
 ]

@@ -195,7 +195,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
     report = rd_closed(atype, t)
     status = 0
     if args.oracle:
-        oracle = rd_oracle(atype, Vertex(0, t))
+        oracle = rd_oracle(atype, atype.diagram.origins[t])
         report = replace(report, witness=oracle.witness)
         if oracle.rd != report.rd:
             sys.stderr.write(
@@ -239,7 +239,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for t in atype.diagram.labels:
         rep = rd_closed(atype, t)
         if not args.no_witness:
-            rep = replace(rep, witness=rd_oracle(atype, Vertex(0, t)).witness)
+            rep = replace(rep, witness=rd_oracle(atype, atype.diagram.origins[t]).witness)
         reports.append(rep)
     if args.format == "json":
         _emit(args, _dump_json([report_json(r) for r in reports]))

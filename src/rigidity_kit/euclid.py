@@ -10,27 +10,11 @@ results are exact for arbitrarily large inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "EuclidData",
     "weight_sequence",
-    "weighted_fibonacci",
 ]
-
-
-def weighted_fibonacci(weights: Sequence[int]) -> tuple[int, ...]:
-    """Run the two-term recursion ``F_l = w_l * F_{l-1} + F_{l-2}`` over the weights.
-
-    Returns the full sequence including the seed values, ``(0, 1, ...)``, of
-    length ``len(weights) + 2``.  An empty weight list is allowed.
-    """
-    values = [0, 1]
-    for w in weights:
-        if type(w) is not int or w < 1:
-            raise ValueError(f"weights must be positive integers, got {w!r}")
-        values.append(w * values[-1] + values[-2])
-    return tuple(values)
 
 
 @dataclass(frozen=True)

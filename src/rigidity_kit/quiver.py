@@ -2,7 +2,7 @@
 
 Vertices, the translation tau, the syzygy automorphism omega, the finite
 twist phi, membership in and reduction modulo the admissible group
-<tau^n phi> (``orbit_residues``, ``orbit_offsets``), the hammock supports
+<tau^n phi> (``orbit_residues``, ``orbit_reps``), the hammock supports
 of the stable Hom functor, knitted on the mesh and returned as frozensets
 of vertices, and one DOT writer for hammocks and orbit quivers.
 
@@ -54,7 +54,6 @@ __all__ = [
     "hammock_minus",
     "hammock_plus",
     "omega",
-    "orbit_offsets",
     "orbit_quiver_dot",
     "orbit_reps",
     "orbit_residues",
@@ -421,8 +420,10 @@ def group_generator(atype: AlgebraType, v: Vertex) -> Vertex:
 
 def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     """Orbit representatives: the orbit of v is their translates by period-multiples."""
-    atype.diagram.check_vertex(v)
-    return tuple(Vertex(v.x + dx, t) for t, dx in orbit_offsets(atype)[v.t])
+    diagram = atype.diagram
+    diagram.check_vertex(v)
+    offsets = _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
+    return tuple(Vertex(v.x + dx, t) for t, dx in offsets[v.t])
 
 
 def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]]:
@@ -432,12 +433,6 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     """
     period = atype.period
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
-
-
-def orbit_offsets(atype: AlgebraType) -> dict[Label, tuple[tuple[Label, int], ...]]:
-    """``_orbit_offsets`` of the type; shared by every caller, so never mutate it."""
-    diagram = atype.diagram
-    return _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
 
 
 # maxsize=1: callers go through one type's labels in a row; plain keys hash in C

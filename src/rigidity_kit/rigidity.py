@@ -5,14 +5,16 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
   weight/Fibonacci sequences of one Euclidean division per type.  It reads
-  a plan memoised for the last type, which makes that division when it is
-  built: for type A and type D with twist order 1 or 2, the staircase of the
-  division, where ``bisect`` places a label among the remainders and each
-  row's ``(rd, branch)`` is kept once a label first lands in it, the fork
-  tips sharing one spine cell; D4 with twist order 3 and type E read the
-  division per call.  Branch strings are formatted once per process.  The
-  report, built without ``__init__``, takes its vertex from the diagram's
-  origin vertices, whose lookup is also the label check;
+  a plan memoised for the last type: the table of every label's
+  ``(rd, branch)``, filled when it is built from that division.  For type A
+  and type D with twist order 1 or 2 the rows of the division's staircase
+  are walked upwards, each evaluated once and shared by the labels in it
+  (a mirrored type-A label takes the row of its mirror image), and the
+  fork tips share one spine tuple; D4 with twist order 3 and type E
+  evaluate their labels one by one.  A call makes no division and no
+  search of the staircase.  Branch strings are formatted once per process.
+  The report, built without ``__init__``, takes its vertex from the
+  diagram's origin vertices; the plan's keys are also the label check;
 * ``rd_oracle`` walks the omega orbit of the vertex on ZD and stops at its
   first self-extension degree: the first omega-translate that meets the
   hammock of the base vertex modulo the admissible group.  The walk ends by
@@ -32,14 +34,16 @@ compares the engines over them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
-from .quiver import AlgebraType, Label, Vertex, _diagram, _object_new, _orbit_offsets, omega
+from .quiver import (
+    SPINE_MINUS, SPINE_PLUS, AlgebraType, Label, Vertex, _diagram, _object_new, _orbit_offsets,
+    omega,
+)
 
 __all__ = [
     "RigidityReport",
@@ -60,9 +64,10 @@ class RigidityReport:
     ``branch`` names the closed-form case that fired and is absent on
     oracle reports; ``witness`` is the smallest self-extension degree and is
     filled by the oracle only.  ``__init__`` is written out, storing each
-    field through its slot descriptor: the generated frozen ``__init__``
-    makes one ``object.__setattr__`` call per field, and every ``rd_closed``
-    call builds a report.
+    field through its slot descriptor, where the generated frozen one makes
+    an ``object.__setattr__`` call per field; ``rd_oracle`` and
+    ``dataclasses.replace`` call it, and ``rd_closed`` sets the same slots on
+    a bare report.
     """
 
     atype: AlgebraType
@@ -98,67 +103,66 @@ _set_report_witness = RigidityReport.witness.__set__
 _BRANCHES: dict[tuple, str] = {}
 
 
-class _Staircase:
-    """The closed form of one type of family A, or of family D with twist order 1 or 2.
+def _row_branch(prefix: str, kind: str, l: int, sym: bool) -> str:
+    """The branch string of a staircase row, formatted once per process."""
+    key = (prefix, kind, l, sym)
+    branch = _BRANCHES.get(key)
+    if branch is None:
+        branch = _BRANCHES[key] = f"{prefix}{kind}(l={l})" + ("+sym" if sym else "")
+    return branch
 
-    Its labels read the rows of the type's one division (m_pair, n_pair):
-    open intervals (s_{l+1}, s_l) for even l or l == length give
+
+def _fill_row(
+    rows: dict, labels: range, first: int, last: int, rd: int, prefix: str, kind: str, l: int,
+    mirror: int,
+) -> None:
+    """Set the ``labels`` in [first, last) to one row.
+
+    Each such t with 2t < ``mirror`` also gives the row, marked ``+sym``, to mirror - t.
+    """
+    first, last = max(first, labels.start), min(last, labels.stop)
+    if first >= last:
+        return
+    cell = (rd, _row_branch(prefix, kind, l, False))
+    for t in range(first, last):
+        rows[t] = cell
+    if 2 * first < mirror:
+        cell = (rd, _row_branch(prefix, kind, l, True))
+        for t in range(mirror - min(last, (mirror + 1) // 2) + 1, mirror - first + 1):
+            rows[t] = cell
+
+
+def _staircase(
+    rows: dict, labels: range, m_pair: int, n_pair: int, scale: int, prefix: str, mirror: int
+) -> EuclidData:
+    """Set ``rows[t] = (rd, branch)`` for the positive integer ``labels`` from one division.
+
+    Type A, and type D with twist order 1 or 2, read the rows of that one
+    division: open intervals (s_{l+1}, s_l) for even l or l == length give
     scale*Fb_l - 1; closed intervals [s_{l+1}, s_l] for odd l < length give
     scale*Fb_l; t == s_length with odd length gives scale*(Fb_length -
-    Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.  A label
-    is placed among the remainders by ``bisect``.  Its result depends only
-    on the interval and on whether t is the interval's remainder, so each
-    such cell keeps its ``(rd, branch)`` once a label first lands in it, and
-    is shared by every later one; the cell formats nothing, its branch comes
-    from ``_BRANCHES``.  A label t with 2t > ``mirror`` reads the row of
-    mirror - t, in a cell of its own marked ``+sym`` (type A, mirror m; type
-    D passes 0).  Both D fork tips read one ``spine`` cell.
+    Fb_{length-1}); t >= n_pair belongs to the degree-zero fringe.  The rows
+    are walked upwards until they pass the labels; each is evaluated once
+    and its ``(rd, branch)`` shared by every label in it.  A label t with
+    2t < ``mirror`` also gives its row, marked ``+sym``, to the label
+    mirror - t (type A, mirror m; type D passes 0).  Returns the division.
     """
-
-    __slots__ = ("data", "scale", "prefix", "mirror", "s", "ends", "cells", "spine")
-
-    def __init__(
-        self, m_pair: int, n_pair: int, scale: int, prefix: str, mirror: int, s: int
-    ) -> None:
-        self.data = data = weight_sequence(m_pair, n_pair)
-        self.scale, self.prefix, self.mirror, self.s = scale, prefix, mirror, s
-        self.ends = data.s[::-1] + (n_pair,)  # ascending: ends[i] is s_{L+1-i} for i <= L
-        self.cells = [None] * (4 * len(self.ends))
-        self.spine = None
-
-    def lookup(self, t: Label) -> tuple[int, str]:
-        """(rd, branch) of the vertex (0, t); t must be a label of the type."""
-        if type(t) is str:
-            if self.spine is None:
-                self.spine = _rd_closed_d_spine(self.data, self.s)
-            return self.spine
-        sym = 0 < self.mirror < 2 * t
-        if sym:
-            t = self.mirror - t
-        ends = self.ends
-        i = bisect_right(ends, t) - 1
-        on = ends[i] == t
-        cell = self.cells[4 * i + 2 * on + sym]
-        if cell is not None:
-            return cell
-        # the row s_{j+1} <= t < s_j, with j == -1 the fringe; t == s_{j+1} with
-        # j even closes the interval of l = j + 1, the last one a tail
-        fb, L, j = self.data.fb, len(ends) - 2, len(ends) - 2 - i  # fb[l + 1] is Fb_l
-        l = j + (on and j % 2 == 0)
-        if j < 0:
-            rd, kind, l = 0, "zero", -1
+    data = weight_sequence(m_pair, n_pair)
+    s, fb, L = (n_pair,) + data.s, data.fb, data.length  # s[l] is s_l, fb[l + 1] is Fb_l
+    for l in range(L, -2, -1):  # l == -1 is the fringe
+        if l < 0:
+            first, last, rd, kind = n_pair, labels.stop, 0, "zero"
         elif l % 2 and l < L:
-            rd, kind = self.scale * fb[l + 1], "closed"
-        elif l > j:
-            rd, kind, l = self.scale * (fb[L + 1] - fb[L]), "tail", L
+            first, last, rd, kind = s[l + 1], s[l] + 1, scale * fb[l + 1], "closed"
         else:
-            rd, kind, l = self.scale * fb[j + 1] - 1, "open", j
-        key = (self.prefix, kind, l, sym)
-        branch = _BRANCHES.get(key)
-        if branch is None:
-            branch = _BRANCHES[key] = f"{self.prefix}{kind}(l={l})" + ("+sym" if sym else "")
-        cell = self.cells[4 * i + 2 * on + sym] = (rd, branch)
-        return cell
+            first, last, rd, kind = s[l + 1] + 1, s[l], scale * fb[l + 1] - 1, "open"
+        if first >= labels.stop:
+            break
+        _fill_row(rows, labels, first, last, rd, prefix, kind, l, mirror)
+        if l == L and l % 2:
+            _fill_row(rows, labels, s[l], s[l] + 1, scale * (fb[l + 1] - fb[l]), prefix, "tail", l,
+                      mirror)
+    return data
 
 
 def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
@@ -176,7 +180,7 @@ def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
 
 
 def _rd_closed_d4_triality(fb1: int, u: int, t: Label) -> tuple[int, str]:
-    """D4 with twist order 3, from Fb_1 of the division (3, n)."""
+    """D4 with twist order 3, from Fb_1 of the division (3, n); run once per label for the plan."""
     res = u % 3
     if t == 2:
         if res == 0:
@@ -240,7 +244,7 @@ _E6_BLOCK_B = {
 
 
 def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[int, str]:
-    """Type E, from the division ``data`` of (h*, n)."""
+    """Type E, from the division ``data`` of (h*, n); run once per label for the plan."""
     h_star = data.m
     res = u % h_star  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
     block = ""
@@ -268,49 +272,55 @@ def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[i
 # maxsize=1: callers evaluate the labels of one type in a row.  Keyed on plain values, which
 # hash and compare in C, where an AlgebraType key would run its Python __hash__ and __eq__.
 @lru_cache(maxsize=1)
-def _closed_plan(family: str, rank: int, s: int, n: int) -> Callable[[Label], tuple[int, str]]:
-    """The closed form of one type: its lookup t -> (rd, branch).
+def _closed_plan(family: str, rank: int, s: int, n: int) -> dict[Label, tuple[int, str]]:
+    """The closed form of one type: the table of every label t -> (rd, branch).
 
-    Building it makes the type's one Euclidean division; D4 with twist order 3
-    and type E are evaluated per call from the part of it they read.
+    Building it makes the type's one Euclidean division and evaluates every
+    label: type A and type D with twist order 1 or 2 walk the staircase of
+    that division once, and both D fork tips share one spine tuple.
     """
+    diagram = _diagram(family, rank)
+    plan: dict[Label, tuple[int, str]] = {}
     m = rank + 1  # type A
     if family == "A" and s == 1:
-        lookup = _Staircase(m, n, 2, "A.s1:", m, s).lookup
+        _staircase(plan, range(1, m // 2 + 1), m, n, 2, "A.s1:", m)
     elif family == "A":
         shift = n - m // 2  # exponent of the tau^shift.omega generator
-        lookup = _Staircase(shift + m, 2 * shift + m, 1, "A.s2:", m, s).lookup
+        _staircase(plan, range(1, m // 2 + 1), shift + m, 2 * shift + m, 1, "A.s2:", m)
     elif family == "D" and s < 3:
-        lookup = _Staircase(rank - 1, n, 1, "D:", 0, s).lookup
+        data = _staircase(plan, range(1, rank - 1), rank - 1, n, 1, "D:", 0)  # the chain
+        plan[SPINE_PLUS] = plan[SPINE_MINUS] = _rd_closed_d_spine(data, s)
     else:
-        diagram = _diagram(family, rank)
         u = n // diagram.m_delta  # integral for D4 with twist order 3 and for type E
         if family == "D":
-            lookup = partial(_rd_closed_d4_triality, weight_sequence(3, n).fb_at(1), u)
+            fb1 = weight_sequence(3, n).fb_at(1)
+            plan = {t: _rd_closed_d4_triality(fb1, u, t) for t in diagram.labels}
         else:
-            lookup = partial(_rd_closed_e, rank, s, u, weight_sequence(diagram.h_star, n))
-    return lookup
+            data = weight_sequence(diagram.h_star, n)
+            plan = {t: _rd_closed_e(rank, s, u, data, t) for t in diagram.labels}
+    return plan
 
 
 def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     """Closed-form rigidity degree of the vertex (0, t).
 
-    Reads the plan of ``atype``, memoised for the last type: a label is
-    checked by its lookup in the diagram's origin vertices, and on a miss
-    ``Diagram.check_label`` raises.  A ``Vertex`` is frozen, so reports share them.
-    The report is a bare ``RigidityReport`` whose slots are set as ``__init__`` sets them.
+    Reads the plan of ``atype``, memoised for the last type: a table filled
+    when it is built, so a call makes no division and no search of the
+    staircase.  Its keys are the labels, so a lookup there is also the label
+    check, and on a miss ``Diagram.check_label`` raises.  The vertex is the diagram's origin
+    vertex; a ``Vertex`` is frozen, so reports share them.  The report is a
+    bare ``RigidityReport`` whose slots are set as ``__init__`` sets them.
     """
     diagram = atype.diagram
-    lookup = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
-    vertex = diagram.origins.get(t) if type(t) in (int, str) else None
-    if vertex is None:
+    plan = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
+    cell = plan.get(t) if type(t) in (int, str) else None
+    if cell is None:
         diagram.check_label(t)
-    rd, branch = lookup(t)
     report = _object_new(RigidityReport)
     _set_report_atype(report, atype)
-    _set_report_vertex(report, vertex)
-    _set_report_rd(report, rd)
-    _set_report_branch(report, branch)
+    _set_report_vertex(report, diagram.origins[t])
+    _set_report_rd(report, cell[0])
+    _set_report_branch(report, cell[1])
     _set_report_witness(report, None)
     return report
 

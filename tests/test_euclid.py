@@ -9,12 +9,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_kit import EuclidData, weight_sequence, weighted_fibonacci
+from rigidity_kit import EuclidData, weight_sequence
 
 
 def s_at(data: EuclidData, l: int) -> int:
@@ -26,6 +27,21 @@ def s_at(data: EuclidData, l: int) -> int:
     if 1 <= l <= data.length + 1:
         return data.s[l - 1]
     raise IndexError(f"remainder index {l} out of range [-1, {data.length + 1}]")
+
+
+def weighted_fibonacci(weights: Sequence[int]) -> tuple[int, ...]:
+    """Run the two-term recursion ``F_l = w_l * F_{l-1} + F_{l-2}`` over the weights.
+
+    Returns the full sequence including the seed values, ``(0, 1, ...)``, of
+    length ``len(weights) + 2``.  An empty weight list is allowed.  The Fb
+    reference of ``weight_sequence``.
+    """
+    values = [0, 1]
+    for w in weights:
+        if type(w) is not int or w < 1:
+            raise ValueError(f"weights must be positive integers, got {w!r}")
+        values.append(w * values[-1] + values[-2])
+    return tuple(values)
 
 
 def two_pass_division(m: int, n: int) -> tuple:

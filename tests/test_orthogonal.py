@@ -26,7 +26,7 @@ from rigidity_kit import (
     tau,
 )
 from rigidity_kit import orthogonal
-from rigidity_kit.quiver import orbit_offsets, orbit_residues
+from rigidity_kit.quiver import _orbit_offsets, orbit_residues
 
 NAKAYAMA_17_9 = AlgebraType.create("A", 8, Fraction(17, 8), 1)
 
@@ -228,7 +228,7 @@ def per_label_certificate(atype, v, r):
     for t in d.labels:
         for c in d.labels:
             incidence[c] += [(t, dx) for dx in d.hammock_column(t, c)]
-    offsets = orbit_offsets(atype)
+    offsets = _orbit_offsets(d.family, d.rank, atype.s, atype.n)
     first = omega(d, v)
     phases = (first, omega(d, first))
     shift = phases[1].x - v.x

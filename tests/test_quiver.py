@@ -286,10 +286,10 @@ class TestGroupMember:
 
     def test_independent_of_the_orbit_tables(self, monkeypatch):
         # group_member is the reference the orbit tables are checked against
-        def broken(atype):
-            raise AssertionError("group_member read orbit_offsets")
+        def broken(*key):
+            raise AssertionError("group_member read _orbit_offsets")
 
-        monkeypatch.setattr(quiver, "orbit_offsets", broken)
+        monkeypatch.setattr(quiver, "_orbit_offsets", broken)
         twisted = AlgebraType.create("A", 5, 2, 2)
         assert group_member(twisted, Vertex(0, 2), Vertex(twisted.n - 1, 4))
         assert not group_member(twisted, Vertex(0, 2), Vertex(twisted.n, 4))

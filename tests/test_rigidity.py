@@ -36,8 +36,8 @@ from rigidity_kit import (
     tau,
     weight_sequence,
 )
-from rigidity_kit.quiver import _orbit_offsets, orbit_offsets
-from rigidity_kit.rigidity import _closed_plan, _Staircase
+from rigidity_kit.quiver import _orbit_offsets
+from rigidity_kit.rigidity import _closed_plan, _staircase
 from test_euclid import s_at
 from test_orthogonal import REFERENCE_TYPES
 
@@ -420,12 +420,14 @@ def test_closed_form_matches_oracle_on_random_types(at):
 
 
 def staircase_rd(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
-    """The row lookup of a ``_Staircase`` on (m_pair, n_pair), without prefix or mirror."""
-    return _Staircase(m_pair, n_pair, scale, "", 0, 1).lookup(t)
+    """The row of t in ``_staircase`` on (m_pair, n_pair), without prefix or mirror."""
+    rows = {}
+    _staircase(rows, range(t, t + 1), m_pair, n_pair, scale, "", 0)
+    return rows[t]
 
 
 def interval_rd_by_definition(m_pair: int, n_pair: int, t: int, scale: int) -> tuple[int, str]:
-    """The rows of ``_Staircase``'s docstring, read through ``s_at``/``fb_at``.
+    """The rows of ``_staircase``'s docstring, read through ``s_at``/``fb_at``.
 
     Every row is tried, and exactly one must hold t.
     """
@@ -453,11 +455,11 @@ def test_interval_scan_matches_definition_on_random_pairs():
         n = rng.randint(1, 500)
         m = rng.choice([rng.randint(1, n), rng.randint(n, 3 * n), n * rng.randint(1, 4)])
         scale = rng.choice([1, 2])
-        # one staircase for every t, so later labels read the cells earlier ones filled
-        staircase = _Staircase(m, n, scale, "", 0, 1)
+        # one walk for every t, so the labels of a row share the tuple it evaluated
+        rows = {}
+        _staircase(rows, range(1, n + 3), m, n, scale, "", 0)
         for t in range(1, n + 3):
-            got = staircase.lookup(t)
-            assert got == interval_rd_by_definition(m, n, t, scale), (m, n, t, scale)
+            assert rows[t] == interval_rd_by_definition(m, n, t, scale), (m, n, t, scale)
 
 
 @given(st.integers(1, 10**7), st.integers(1, 10**7), st.data())
@@ -538,11 +540,28 @@ def test_closed_plan_memo_is_invisible(types):
     assert evicted == cold
 
 
+def test_closed_plan_keys_are_the_labels():
+    # rd_closed's label check is its lookup in the plan, so the plan holds every label
+    types = (
+        [AlgebraType.from_shift("A", r, 3, 1) for r in range(1, 41)]
+        + [AlgebraType.create("A", r, 2, 2) for r in range(3, 42, 2)]
+        + [AlgebraType.create("D", r, 2, s) for r in range(4, 41) for s in (1, 2)]
+        + [AlgebraType.create("D", r, Fraction(4, 3), 1) for r in range(6, 40, 3)]
+        + [AlgebraType.create("D", 4, 2, 3), AlgebraType.create("E", 6, 2, 2)]
+        + [AlgebraType.create("E", r, 2, 1) for r in (6, 7, 8)]
+    )
+    for at in types:
+        d = at.diagram
+        plan = _closed_plan(d.family, d.rank, at.s, at.n)
+        assert plan.keys() == d.omega_steps.keys(), at.describe()
+
+
 @pytest.mark.parametrize(
     "at",
     [AlgebraType.create("A", 5, 2, 1), AlgebraType.create("A", 5, 2, 2),
      AlgebraType.create("D", 5, 2, 1), AlgebraType.create("D", 4, 2, 3),
-     AlgebraType.create("E", 6, 2, 2)],
+     AlgebraType.create("E", 6, 2, 2), AlgebraType.create("E", 8, 2, 1),
+     AlgebraType.create("D", 6, Fraction(4, 3), 1)],
     ids=lambda at: at.describe(),
 )
 def test_rd_closed_rejects_non_labels_with_check_label_message(at):
@@ -608,13 +627,6 @@ def test_orbit_offsets_memo_is_invisible(types):
                 assert offsets_memo_agrees(at)
                 evicted[at].append(report(at, at.diagram.labels[k]))
     assert evicted == cold
-
-
-def test_orbit_offsets_reads_the_plain_keyed_memo():
-    at = AlgebraType.create("D", 6, Fraction(7, 3), 1)
-    _orbit_offsets.cache_clear()
-    assert orbit_offsets(at) is _orbit_offsets(*offsets_key(at))
-    assert _orbit_offsets.cache_info().misses == 1
 
 
 def on_a_fresh_diagram(at):
@@ -685,8 +697,8 @@ def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
         # the witness by literal steps, against every vertex of the hammock
         v, period = Vertex(0, t), at.period
         target = {(h.t, h.x % period) for h in hammock_minus(d, v)}
-        w, literal = omega(d, v), 1
-        while not any((c, (w.x + dx) % period) in target for c, dx in orbit_offsets(at)[w.t]):
+        w, literal, offsets = omega(d, v), 1, _orbit_offsets(*offsets_key(at))
+        while not any((c, (w.x + dx) % period) in target for c, dx in offsets[w.t]):
             w, literal = omega(d, w), literal + 1
         read.clear()
         cold = on_a_fresh_diagram(at)
@@ -730,7 +742,7 @@ def generator_walk(at, t):
 
 @pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
 def test_orbit_offsets_match_the_generator_walk(at):
-    offsets = orbit_offsets(at)
+    offsets = _orbit_offsets(*offsets_key(at))
     assert list(offsets) == list(at.diagram.labels)
     for t in at.diagram.labels:
         assert offsets[t] == generator_walk(at, t), t
@@ -739,7 +751,7 @@ def test_orbit_offsets_match_the_generator_walk(at):
 @given(small_u_types)
 @settings(max_examples=60, deadline=None)
 def test_orbit_offsets_match_the_generator_walk_on_small_types(at):
-    offsets = orbit_offsets(at)
+    offsets = _orbit_offsets(*offsets_key(at))
     assert {t: generator_walk(at, t) for t in at.diagram.labels} == offsets
 
 
