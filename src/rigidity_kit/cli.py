@@ -6,7 +6,11 @@ dimension of the single-orbit families) and ``hammock`` (hammock and
 orbit-quiver export, including DOT).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (type spec,
-sweep bounds) or an ``--output`` path that cannot be written.
+sweep bounds) or an ``--output`` path that cannot be written.  ``verify``,
+``rd --oracle`` and ``table`` (unless ``--no-witness``) exit 1 when the
+oracle disagrees with the closed form; ``rd`` and ``table`` write one
+``disagreement at ...`` line to stderr per label.  ``--u`` is checked by
+``AlgebraType.create``.
 Output is deterministic for identical configurations.  ``verify`` takes
 its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
 in one process, through ``rigidity.agreement``.  ``main`` builds its parser
@@ -25,14 +29,12 @@ import json
 import re
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache
 
 from .orthogonal import rigdim_closed, rigdim_verify
 from .quiver import (
     SPINE_MINUS,
     SPINE_PLUS,
-    _U_PATTERN,
     AlgebraType,
     Vertex,
     hammock_dot,
@@ -42,19 +44,9 @@ from .quiver import (
 )
 from .rigidity import RigidityReport, agreement, rd_closed, rd_oracle, sweep_types
 
-__all__ = ["build_parser", "main", "parse_label", "parse_u"]
+__all__ = ["build_parser", "main", "parse_label"]
 
 _INT_PATTERN = re.compile(r"-?[0-9]+")  # a negative label, rank or bound meets its own check
-
-
-def parse_u(text: str) -> Fraction:
-    """Exact rational parameter; floats are rejected on purpose."""
-    if not _U_PATTERN.fullmatch(text):
-        raise ValueError(f"u must be an exact rational like '17/8', got {text!r}")
-    value = Fraction(text)
-    if value <= 0:
-        raise ValueError(f"u must be positive, got {text!r}")
-    return value
 
 
 def parse_label(text: str):
@@ -80,7 +72,7 @@ def make_type(args: argparse.Namespace) -> AlgebraType:
         return AlgebraType.from_shift(args.delta, args.rank, args.n, args.s)
     if args.u is None:
         raise ValueError("a type spec needs --u or --n")
-    return AlgebraType.create(args.delta, args.rank, parse_u(args.u), args.s)
+    return AlgebraType.create(args.delta, args.rank, args.u, args.s)
 
 
 def type_json(atype: AlgebraType) -> dict:
@@ -189,20 +181,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reports(atype: AlgebraType, labels, oracle: bool) -> tuple[list[RigidityReport], int]:
+    """Each label's closed-form report, with the oracle's witness if ``oracle``.
+
+    The status is 1 if the oracle's rd differs at some label, each one written to stderr.
+    """
+    reports, status = [], 0
+    for t in labels:
+        report = rd_closed(atype, t)
+        if oracle:
+            checked = rd_oracle(atype, atype.diagram.origins[t])
+            report = replace(report, witness=checked.witness)
+            if checked.rd != report.rd:
+                sys.stderr.write(
+                    f"disagreement at {atype.describe()} t={t}: "
+                    f"closed={report.rd} oracle={checked.rd}\n"
+                )
+                status = 1
+        reports.append(report)
+    return reports, status
+
+
 def cmd_rd(args: argparse.Namespace) -> int:
     atype = make_type(args)
     t = parse_label(args.t)
-    report = rd_closed(atype, t)
-    status = 0
-    if args.oracle:
-        oracle = rd_oracle(atype, atype.diagram.origins[t])
-        report = replace(report, witness=oracle.witness)
-        if oracle.rd != report.rd:
-            sys.stderr.write(
-                f"disagreement at {atype.describe()} t={t}: "
-                f"closed={report.rd} oracle={oracle.rd}\n"
-            )
-            status = 1
+    (report,), status = _reports(atype, [t], args.oracle)
     if args.format == "json":
         _emit(args, _dump_json(report_json(report)))
     elif args.format == "csv":
@@ -235,12 +238,7 @@ def _reports_csv(reports: list[RigidityReport]) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     atype = make_type(args)
-    reports = []
-    for t in atype.diagram.labels:
-        rep = rd_closed(atype, t)
-        if not args.no_witness:
-            rep = replace(rep, witness=rd_oracle(atype, atype.diagram.origins[t]).witness)
-        reports.append(rep)
+    reports, status = _reports(atype, atype.diagram.labels, not args.no_witness)
     if args.format == "json":
         _emit(args, _dump_json([report_json(r) for r in reports]))
     elif args.format == "csv":
@@ -253,7 +251,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 f"branch={rep.branch}  witness={rep.witness}"
             )
         _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return status
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -78,23 +78,17 @@ def _label_key(t: Label) -> tuple[int, int]:
     return (1, 0 if t == SPINE_PLUS else 1)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A vertex (x, t) of ZD: slice coordinate x, Dynkin label t.
 
-    ``__init__`` is written out, storing each field through its slot
-    descriptor: the generated frozen ``__init__`` makes one
-    ``object.__setattr__`` call per field.  ``omega``, which builds a vertex
-    on every oracle step, skips even this: it fills the two slots of a bare
-    instance through the same descriptors, so its vertices are ordinary ones.
+    ``omega``, which builds a vertex on every oracle step, skips ``__init__``:
+    it fills the two slots of a bare instance through their slot descriptors,
+    so its vertices are ordinary ones.
     """
 
     x: int
     t: Label
-
-    def __init__(self, x: int, t: Label) -> None:
-        _set_vertex_x(self, x)
-        _set_vertex_t(self, t)
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.x, *_label_key(self.t))
@@ -293,10 +287,10 @@ class AlgebraType:
 
     The admissible group is generated by ``tau^n . phi`` where phi is the order-s
     twist.  The frequency ``u = n / m_delta`` is derived from n, an exact rational
-    because several closed forms key on residues of u.  ``__init__`` is written out,
-    like ``Vertex``'s: it stores each field through its slot descriptor, then
-    validates.  ``create`` reads ``as_integer_ratio()`` of an int or ``Fraction``
-    u as given, and parses a str u only.
+    because several closed forms key on residues of u.  ``__init__`` is written out:
+    it stores each field through its slot descriptor, then validates.  ``create``
+    reads ``as_integer_ratio()`` of an int or ``Fraction`` u as given, and parses a
+    str u only.
     """
 
     diagram: Diagram

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from rigidity_kit import cli
-from rigidity_kit.cli import build_parser, main, parse_label, parse_u
+from rigidity_kit.cli import build_parser, main, parse_label
 
 
 def run_cli(capsys, *argv):
@@ -18,18 +19,41 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
+@pytest.fixture
+def off_by_one_oracle(monkeypatch):
+    """Make the oracle that ``cli`` calls answer rd + 1, with the same witness."""
+    original = cli.rd_oracle
+
+    def wrong(*args):
+        report = original(*args)
+        return dataclasses.replace(report, rd=report.rd + 1)
+
+    monkeypatch.setattr(cli, "rd_oracle", wrong)
+
+
 class TestParsing:
-    def test_rational(self):
-        assert parse_u("17/8") == 17 / 8 or str(parse_u("17/8")) == "17/8"
-        assert str(parse_u("5")) == "5"
+    def test_rational(self, capsys):
+        for rank, u in ((8, "17/8"), (3, "5")):
+            status, out, err = run_cli(
+                capsys, "rd", "--delta", "A", "--rank", str(rank), "--u", u, "--t", "1",
+                "--format", "json",
+            )
+            assert (status, err) == (0, "")
+            assert json.loads(out)["type"]["u"] == u
 
     @pytest.mark.parametrize(
         "bad", ["2.5", "-3", "1e3", "17/0", "", "0", "5\n", "\u0665", "5 ", " 5", "+5", "1_0",
                 "5/\u0663", "17/8\n"],
     )
-    def test_rejects_non_rational(self, bad):
-        with pytest.raises(ValueError):
-            parse_u(bad)
+    def test_rejects_non_rational(self, capsys, bad):
+        # the spelling check lets a leading minus through to the sign check
+        message = {"-3": "u must be positive, got -3", "0": "u must be positive, got 0"}.get(
+            bad, f"u must be an exact rational like '17/8', got {bad!r}"
+        )
+        status, out, err = run_cli(
+            capsys, "rd", "--delta", "A", "--rank", "3", "--u", bad, "--t", "1"
+        )
+        assert (status, out, err) == (2, "", f"error: {message}\n")
 
     def test_labels(self):
         assert parse_label("3") == 3
@@ -109,6 +133,12 @@ class TestRdCommand:
         assert status == 0
         assert json.loads(out)["witness"] == 31
 
+    def test_oracle_disagreement_exits_1(self, capsys, off_by_one_oracle):
+        status, out, err = run_cli(capsys, *self.ARGS, "--oracle", "--format", "json")
+        assert status == 1
+        assert json.loads(out)["witness"] == 31
+        assert err == "disagreement at (A8, 17/8, 1) t=1: closed=30 oracle=31\n"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, *self.ARGS, "--format", "json")
         _, second, _ = run_cli(capsys, *self.ARGS, "--format", "json")
@@ -154,6 +184,18 @@ class TestTableCommand:
         rows = json.loads(out)
         assert [row["rd"] for row in rows] == [30, 3, 3, 3, 3, 3, 3, 30]
         assert all(row["witness"] == row["rd"] + 1 for row in rows)
+
+    def test_oracle_disagreement_exits_1(self, capsys, monkeypatch, off_by_one_oracle):
+        argv = ["table", "--delta", "D", "--rank", "5", "--u", "1"]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1
+        assert err == "".join(
+            f"disagreement at (D5, 1, 1) t={t}: closed={rd} oracle={rd + 1}\n"
+            for t, rd in [(1, 5), (2, 1), (3, 1), ("m+", 3), ("m-", 3)]
+        )
+        assert run_cli(capsys, *argv, "--no-witness")[::2] == (0, "")  # no oracle, no check
+        monkeypatch.undo()
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_spine_labels_in_csv(self, capsys):
         status, out, _ = run_cli(
@@ -626,7 +668,7 @@ class TestParserReuse:
         assert (status, out) == ("SystemExit(2)", "")
         assert err.startswith("usage: rigidity-kit rd ")
         assert err.endswith("error: the following arguments are required: --delta\n")
-        assert first[NON_POSITIVE_U][0] == (2, "", "error: u must be positive, got '0'\n")
+        assert first[NON_POSITIVE_U][0] == (2, "", "error: u must be positive, got 0\n")
         assert first[MISSING_DELTA][1] == first[MISSING_DELTA][0]
         assert first[NON_POSITIVE_U][1] == first[NON_POSITIVE_U][0]
 

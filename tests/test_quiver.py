@@ -573,10 +573,21 @@ class TestAlgebraTypeValidation:
             reference_create, "A", rank, u
         )
 
-    def test_create_and_the_cli_share_the_u_spelling(self):
+    def test_the_cli_hands_create_the_u_text_unchanged(self, monkeypatch):
         from rigidity_kit import cli
 
-        assert cli._U_PATTERN is quiver._U_PATTERN
+        seen, create = [], AlgebraType.create
+
+        def recording(family, rank, u, s=1):
+            seen.append(u)
+            return create(family, rank, u, s)
+
+        monkeypatch.setattr(AlgebraType, "create", recording)
+        for rank, u in ((8, "17/8"), (3, "5")):
+            argv = ["rd", "--delta", "A", "--rank", str(rank), "--u", u, "--t", "1"]
+            args = cli.build_parser().parse_args(argv)
+            assert cli.make_type(args) == create("A", rank, u)
+        assert seen == ["17/8", "5"]
 
 
 def reference_validate(diagram, s, n):
