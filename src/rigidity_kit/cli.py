@@ -6,11 +6,11 @@ dimension of the single-orbit families) and ``hammock`` (hammock and
 orbit-quiver export, including DOT).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (type spec,
-sweep bounds) or an ``--output`` path that cannot be written.  ``verify``,
-``rd --oracle`` and ``table`` (unless ``--no-witness``) exit 1 when the
-oracle disagrees with the closed form; ``rd`` and ``table`` write one
-``disagreement at ...`` line to stderr per label.  ``--u`` is checked by
-``AlgebraType.create``.
+sweep bounds, a diagram too large to knit) or an ``--output`` path that
+cannot be written.  ``verify``, ``rd --oracle`` and ``table`` (unless
+``--no-witness``) exit 1 when the oracle disagrees with the closed form;
+``rd`` and ``table`` write one ``disagreement at ...`` line to stderr per
+label.  ``--u`` is checked by ``AlgebraType.create``.
 Output is deterministic for identical configurations.  ``verify`` takes
 its sweep grid from ``rigidity.sweep_types`` and checks it sequentially,
 in one process, through ``rigidity.agreement``.  ``main`` builds its parser

@@ -14,7 +14,8 @@ slices is one cyclic rotation by k.L bits.  omega^2 fixes every label, so
 omega^(j+2q)(v) = omega^j(v) + (qD, 0) for the two phases j = 1, 2; each
 phase ORs in its pattern's rotations by qD through binary doubling, so a
 certificate does O(log r) rotations of one integer and no omega walk.  One
-table per type, memoised for the last, holds what depends on the type alone.
+table per type, memoised for the last type object, holds what depends on the
+type alone.
 
 The closed-form rigidity dimensions cover the three families where a
 single orbit does certify: the two type-A families, the twisted type-A
@@ -24,9 +25,9 @@ family, and the exceptional E7 family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .quiver import AlgebraType, Vertex, _diagram, _orbit_offsets, hammock_incidence
+from .quiver import AlgebraType, Vertex, _last_type, _orbit_offsets, hammock_incidence
 from .rigidity import rd_closed
 
 __all__ = ["OrthogonalityCertificate", "RigdimFormula", "RigdimVerification",
@@ -69,10 +70,8 @@ class OrthogonalityCertificate:
         return tuple(Vertex(x, labels[k]) for x, k in hits)
 
 
-# maxsize=1: callers certify one type's labels in a row.  Keyed on plain values, like
-# rigidity's closed plan, so a warm call runs no AlgebraType __hash__ or __eq__.
-@lru_cache(maxsize=1)
-def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int, dict]:
+@_last_type
+def _cover_table(atype: AlgebraType) -> tuple[int, int, int, dict]:
     """The type's period, label count L, full mask and, per label t, the row (orbit, phases).
 
     ``orbit`` holds the cells of the orbit of (0, t).  Phase j = 1, 2 is (dx, pattern, k)
@@ -81,9 +80,9 @@ def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int,
     orbit representative's ``hammock_incidence``, folded modulo the period once per
     label and rotated to the representative.
     """
-    diagram = _diagram(family, rank)
+    diagram = atype.diagram
     labels = diagram.labels
-    period, width = s * n, len(labels)
+    period, width = atype.period, len(labels)
     size = width * period
     full = (1 << size) - 1
     index = dict(zip(labels, range(width)))
@@ -93,7 +92,7 @@ def _cover_table(family: str, rank: int, s: int, n: int) -> tuple[int, int, int,
             bits = bits & full | bits >> size
         folded[c] = bits
     cells = {}
-    for t, reps in _orbit_offsets(family, rank, s, n).items():
+    for t, reps in _orbit_offsets(atype).items():
         pattern = orbit = 0
         for c, dx in reps:
             k, bits = -dx % period * width, folded[c]
@@ -146,7 +145,7 @@ def is_maximal_orthogonal(atype: AlgebraType, v: Vertex, r: int) -> Orthogonalit
     if type(r) is not int or r < 0:
         raise ValueError(f"orthogonality degree must be a non-negative int, got {r!r}")
     diagram = atype.diagram
-    table = _cover_table(diagram.family, diagram.rank, atype.s, atype.n)
+    table = _cover_table(atype)
     period, width, full, rows = table
     row = rows.get(v.t) if type(v.t) in (int, str) else None
     if row is None or type(v.x) is not int:

@@ -15,7 +15,8 @@ hammock is knitted in one pass on byte lanes by ``_knit_lanes``.  The lanes are
 read one cell at a time (``Diagram.hammock_column``) for the oracle and
 ``hammock_minus``, transposed for the certificate (``hammock_incidence``) and
 as forward hammocks for ``hammock_plus``.  Only the orbit offsets depend on the
-type; they are memoised for the last type.  An algebra type is the triple
+type; they are memoised for the last type object by ``_last_type``, the one
+per-type memo of the package.  An algebra type is the triple
 (diagram, s, n), with u = n / m_delta derived, on one interned ``Diagram`` per
 (family, rank), validated once; its ``__init__`` fills its slots and validates
 the triple, and ``create`` parses only a str u.
@@ -35,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from heapq import heappop, heappush
 from itertools import chain, compress, count
 from operator import or_
@@ -416,8 +417,7 @@ def orbit_reps(atype: AlgebraType, v: Vertex) -> tuple[Vertex, ...]:
     """Orbit representatives: the orbit of v is their translates by period-multiples."""
     diagram = atype.diagram
     diagram.check_vertex(v)
-    offsets = _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
-    return tuple(Vertex(v.x + dx, t) for t, dx in offsets[v.t])
+    return tuple(Vertex(v.x + dx, t) for t, dx in _orbit_offsets(atype)[v.t])
 
 
 def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]]:
@@ -429,9 +429,33 @@ def orbit_residues(atype: AlgebraType, v: Vertex) -> frozenset[tuple[Label, int]
     return frozenset((rep.t, rep.x % period) for rep in orbit_reps(atype, v))
 
 
-# maxsize=1: callers go through one type's labels in a row; plain keys hash in C
-@lru_cache(maxsize=1)
-def _orbit_offsets(family: str, rank: int, s: int, n: int) -> dict:
+def _last_type(build):
+    """Memoise ``build(atype)`` for the last type object, compared with ``is``.
+
+    Callers go through one type's labels in a row with one ``AlgebraType``, so
+    a warm call is one identity test: no key is built and no type is hashed.
+    An equal type that is another object builds its own table.  The type and
+    its table are held as one tuple, read and replaced whole, so a caller on
+    another thread never pairs a type with another type's table.  Each use is
+    its own memo slot; ``__wrapped__`` is ``build``.
+    """
+    held = (None, None)
+
+    @wraps(build)
+    def table(atype):
+        nonlocal held
+        last, value = held
+        if last is atype:
+            return value
+        value = build(atype)
+        held = (atype, value)
+        return value
+
+    return table
+
+
+@_last_type
+def _orbit_offsets(atype: AlgebraType) -> dict:
     """The orbit representatives of (0, t) for every label t, as pairs (t', dx).
 
     Powers 0..s-1 of ``tau^n . phi``, composed on the phi table: each adds n
@@ -439,7 +463,7 @@ def _orbit_offsets(family: str, rank: int, s: int, n: int) -> dict:
     orbit of (x, t) is the translates by period-multiples of the vertices
     (x + dx, t').  Shared by the oracle walk and the certificate; never mutate it.
     """
-    diagram = _diagram(family, rank)
+    diagram, s, n = atype.diagram, atype.s, atype.n
     steps = diagram.phi_steps[s]
     offsets = {}
     for t in diagram.labels:
@@ -465,6 +489,10 @@ def group_member(atype: AlgebraType, v: Vertex, w: Vertex) -> bool:
     return any(rep.t == w.t and (w.x - rep.x) % period == 0 for rep in reps)
 
 
+# Bytes of knitted lanes a diagram may hold: D289 needs 48,108,096 of them, D400 127,680,000.
+_KNIT_BYTES_MAX = 1 << 27
+
+
 def _knit_lanes(diagram: Diagram) -> tuple[bytes, ...]:
     """Knit the backward hammock at (0, t) of every label t in one pass, one byte lane per t.
 
@@ -481,9 +509,16 @@ def _knit_lanes(diagram: Diagram) -> tuple[bytes, ...]:
     lane k of slice i.  As Hom((i, c), (0, labels[k])) = Hom((0, c), (-i, labels[k])),
     these bytes are also the forward hammock of (0, labels[c]); nothing knits forward.
     Runs on the diagram's first hammock read, and holds the lanes as ``diagram.lanes``.
+    The lanes take n bytes per cell and slice, and no knitting has yet needed more
+    than h slices, so a diagram whose n * n * h bytes pass ``_KNIT_BYTES_MAX`` raises
+    ``ValueError`` before anything is knitted.
     """
     plan, name = diagram.knit_plan, f"{diagram.family}{diagram.rank}"
     n = len(plan)
+    need = n * n * diagram.h
+    if need > _KNIT_BYTES_MAX:
+        raise ValueError(f"the hammocks of {name} would need {need} bytes to knit, "
+                         f"over the limit of {_KNIT_BYTES_MAX}")
     ones = int.from_bytes(b"\x01" * n, "little")
     bias, round_up = ones << 6, 63 * ones
     cur = [0] * n

@@ -5,7 +5,7 @@ at a vertex of the stable AR-quiver ZD/<tau^n phi>:
 
 * ``rd_closed`` evaluates the closed-form tables, driven entirely by the
   weight/Fibonacci sequences of one Euclidean division per type.  It reads
-  a plan memoised for the last type: the table of every label's
+  a plan memoised for the last type object: the table of every label's
   ``(rd, branch)``, filled when it is built from that division.  For type A
   and type D with twist order 1 or 2 the rows of the division's staircase
   are walked upwards, each evaluated once and shared by the labels in it
@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator
 
 from .euclid import EuclidData, weight_sequence
 from .quiver import (
-    SPINE_MINUS, SPINE_PLUS, AlgebraType, Label, Vertex, _diagram, _object_new, _orbit_offsets,
+    SPINE_MINUS, SPINE_PLUS, AlgebraType, Label, Vertex, _last_type, _object_new, _orbit_offsets,
     omega,
 )
 
@@ -99,16 +99,16 @@ _set_report_branch = RigidityReport.branch.__set__
 _set_report_witness = RigidityReport.witness.__set__
 
 # Branch strings, each formatted once per process, keyed on a staircase row's
-# (prefix, kind, l, sym) or a type-E cell's (rank, s, t, u mod h*, block).
+# (prefix, kind, l, sym), a D fork tip's (prefix, kind, parity), a D4 outer label's
+# (prefix, u mod 3) or a type-E cell's (rank, s, t, u mod h*, block).
 _BRANCHES: dict[tuple, str] = {}
 
 
-def _row_branch(prefix: str, kind: str, l: int, sym: bool) -> str:
-    """The branch string of a staircase row, formatted once per process."""
-    key = (prefix, kind, l, sym)
+def _branch(key: tuple, template: str) -> str:
+    """The branch string ``template.format(*key)``, formatted once per process."""
     branch = _BRANCHES.get(key)
     if branch is None:
-        branch = _BRANCHES[key] = f"{prefix}{kind}(l={l})" + ("+sym" if sym else "")
+        branch = _BRANCHES[key] = template.format(*key)
     return branch
 
 
@@ -123,11 +123,11 @@ def _fill_row(
     first, last = max(first, labels.start), min(last, labels.stop)
     if first >= last:
         return
-    cell = (rd, _row_branch(prefix, kind, l, False))
+    cell = (rd, _branch((prefix, kind, l, False), "{}{}(l={})"))
     for t in range(first, last):
         rows[t] = cell
     if 2 * first < mirror:
-        cell = (rd, _row_branch(prefix, kind, l, True))
+        cell = (rd, _branch((prefix, kind, l, True), "{}{}(l={})+sym"))
         for t in range(mirror - min(last, (mirror + 1) // 2) + 1, mirror - first + 1):
             rows[t] = cell
 
@@ -165,6 +165,9 @@ def _staircase(
     return data
 
 
+_SPINE_BRANCH = "{}({},par={})"
+
+
 def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
     """Either fork tip of type D, from the division (m, n) of its chain labels."""
     m, n = data.m, data.n
@@ -174,9 +177,9 @@ def _rd_closed_d_spine(data: EuclidData, s: int) -> tuple[int, str]:
     parity = (fb1 + n + s) % 2
     if n % m == 0:
         rd = fb1 - 1 if parity == 1 else 2 * fb1 - 1
-        return rd, f"D:spine(div,par={parity})"
+        return rd, _branch(("D:spine", "div", parity), _SPINE_BRANCH)
     rd = fb1 if parity == 0 else fb1 + data.fb_at(2)
-    return rd, f"D:spine(nondiv,par={parity})"
+    return rd, _branch(("D:spine", "nondiv", parity), _SPINE_BRANCH)
 
 
 def _rd_closed_d4_triality(fb1: int, u: int, t: Label) -> tuple[int, str]:
@@ -187,7 +190,7 @@ def _rd_closed_d4_triality(fb1: int, u: int, t: Label) -> tuple[int, str]:
             return fb1 - 1, "D4:t=2(div)"
         return fb1, "D4:t=2(nondiv)"
     rd = (3 * fb1 - 1, fb1, 2 * fb1)[res]
-    return rd, f"D4:outer(u%3={res})"
+    return rd, _branch(("D4:outer", res), "{}(u%3={})")
 
 
 # Table cells are coefficient vectors (c0, c1, c2, c3) encoding
@@ -243,10 +246,13 @@ _E6_BLOCK_B = {
 }
 
 
+# Branch templates of type E, formatted with the cell's key (rank, s, t, u mod h*, block)
+_E_BRANCH = {6: "E6.s{1}:t={2},u%6={3}", 7: "E7:t={2},u%9={3}", 8: "E8:t={2},u%15={3}"}
+
+
 def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[int, str]:
     """Type E, from the division ``data`` of (h*, n); run once per label for the plan."""
-    h_star = data.m
-    res = u % h_star  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
+    res = u % data.m  # the E6, E7 and E8 tables key on u mod h* = 6, 9, 15
     block = ""
     if rank > 6:
         row = t if t in (1, 2, rank - 1, rank) else 3
@@ -257,11 +263,7 @@ def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[i
         block = "A" if (u // 6) % 2 == (0 if s == 1 else 1) else "B"
         table = _E6_BLOCK_A if block == "A" else _E6_BLOCK_B
         coeffs = table[1 if t in (1, 5) else 2][res]
-    key = (rank, s, t, res, block)
-    branch = _BRANCHES.get(key)
-    if branch is None:
-        branch = f"E{rank}:t={t},u%{h_star}={res}" if rank > 6 else f"E6.s{s}:t={t},u%6={res}"
-        branch = _BRANCHES[key] = branch + (f",blk={block}" if block else "")
+    branch = _branch((rank, s, t, res, block), _E_BRANCH[rank] + (",blk={4}" if block else ""))
     rd = coeffs[0]
     for i in (1, 2, 3):
         if coeffs[i]:
@@ -269,17 +271,16 @@ def _rd_closed_e(rank: int, s: int, u: int, data: EuclidData, t: int) -> tuple[i
     return rd, branch
 
 
-# maxsize=1: callers evaluate the labels of one type in a row.  Keyed on plain values, which
-# hash and compare in C, where an AlgebraType key would run its Python __hash__ and __eq__.
-@lru_cache(maxsize=1)
-def _closed_plan(family: str, rank: int, s: int, n: int) -> dict[Label, tuple[int, str]]:
+@_last_type
+def _closed_plan(atype: AlgebraType) -> dict[Label, tuple[int, str]]:
     """The closed form of one type: the table of every label t -> (rd, branch).
 
     Building it makes the type's one Euclidean division and evaluates every
     label: type A and type D with twist order 1 or 2 walk the staircase of
     that division once, and both D fork tips share one spine tuple.
     """
-    diagram = _diagram(family, rank)
+    diagram, s, n = atype.diagram, atype.s, atype.n
+    family, rank = diagram.family, diagram.rank
     plan: dict[Label, tuple[int, str]] = {}
     m = rank + 1  # type A
     if family == "A" and s == 1:
@@ -304,7 +305,7 @@ def _closed_plan(family: str, rank: int, s: int, n: int) -> dict[Label, tuple[in
 def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     """Closed-form rigidity degree of the vertex (0, t).
 
-    Reads the plan of ``atype``, memoised for the last type: a table filled
+    Reads the plan of ``atype``, memoised for the last type object: a table filled
     when it is built, so a call makes no division and no search of the
     staircase.  Its keys are the labels, so a lookup there is also the label
     check, and on a miss ``Diagram.check_label`` raises.  The vertex is the diagram's origin
@@ -312,8 +313,7 @@ def rd_closed(atype: AlgebraType, t) -> RigidityReport:
     bare ``RigidityReport`` whose slots are set as ``__init__`` sets them.
     """
     diagram = atype.diagram
-    plan = _closed_plan(diagram.family, diagram.rank, atype.s, atype.n)
-    cell = plan.get(t) if type(t) in (int, str) else None
+    cell = _closed_plan(atype).get(t) if type(t) in (int, str) else None
     if cell is None:
         diagram.check_label(t)
     report = _object_new(RigidityReport)
@@ -345,7 +345,7 @@ def _omega_walk(
     """
     diagram = atype.diagram
     period = atype.period
-    offsets = _orbit_offsets(diagram.family, diagram.rank, atype.s, atype.n)
+    offsets = _orbit_offsets(atype)
     residue_sets: dict[Label, frozenset[int]] = {}
     w, x0 = v, v.x
     for i in range(1, bound + 1):

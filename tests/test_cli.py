@@ -152,6 +152,14 @@ class TestRdCommand:
         assert status == 2
         assert "error:" in err
 
+    def test_a_diagram_too_large_to_knit_exits_2(self, capsys):
+        status, out, err = run_cli(
+            capsys, "rd", "--delta", "D", "--rank", "1000", "--u", "1", "--t", "1", "--oracle",
+        )
+        assert (status, out) == (2, "")
+        assert err == ("error: the hammocks of D1000 would need 1998000000 bytes to knit, "
+                       "over the limit of 134217728\n")
+
     @pytest.mark.parametrize("bad", ["2.5", "1/0"])
     def test_float_u_rejected(self, capsys, bad):
         status, _, err = run_cli(

@@ -7,6 +7,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -105,7 +107,7 @@ UNHASHED = {
 
 @pytest.mark.parametrize("case,verify", UNHASHED.values(), ids=UNHASHED)
 def test_no_product_path_hashes_a_type(monkeypatch, capsys, case, verify):
-    # the per-type memos of quiver, rigidity and orthogonal key on plain values
+    # the per-type memos of quiver, rigidity and orthogonal compare type objects with is
     def refuse(self):
         raise AssertionError(f"hashed the type {self.describe()}")
 
@@ -318,3 +320,38 @@ def test_rejected_spellings_raise_alike_after_interning(family, rank):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+def test_threads_alternating_two_types_read_their_own_tables():
+    # each memo holds one type object and its table as one tuple, so two threads that
+    # alternate two types, each evicting the other's table, never read the wrong one
+    types = [AlgebraType.create("D", 6, Fraction(7, 3)), AlgebraType.create("E", 6, 2, 2)]
+
+    def results(atype):
+        return [(rd_closed(atype, t), is_maximal_orthogonal(atype, Vertex(1, t), 5),
+                 rd_oracle(atype, Vertex(0, t))) for t in atype.diagram.labels]
+
+    cold = [results(copy.copy(atype)) for atype in types]
+    start, wrong = threading.Barrier(2), []
+
+    def alternate(order):
+        start.wait()
+        for _ in range(40):
+            for k in order:
+                try:
+                    if results(types[k]) != cold[k]:
+                        wrong.append(k)
+                except Exception as exc:  # another type's table: a label it lacks
+                    wrong.append(exc)
+
+    threads = [threading.Thread(target=alternate, args=(order,)) for order in ((0, 1), (1, 0))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from collections import Counter
 from fractions import Fraction
@@ -228,7 +229,7 @@ def per_label_certificate(atype, v, r):
     for t in d.labels:
         for c in d.labels:
             incidence[c] += [(t, dx) for dx in d.hammock_column(t, c)]
-    offsets = _orbit_offsets(d.family, d.rank, atype.s, atype.n)
+    offsets = _orbit_offsets(atype)
     first = omega(d, v)
     phases = (first, omega(d, first))
     shift = phases[1].x - v.x
@@ -329,48 +330,59 @@ def test_certificate_matches_per_label_reference_at_fixed_degrees(atype):
 
 
 def test_per_type_memo_is_invisible():
-    # one diagram, two periods: the memo keeps one type, so alternating the
-    # types label by label evicts it on every call; cold calls clear it first
+    # one diagram, two periods: the memo keeps one type object, so alternating the
+    # types label by label evicts it on every call; cold calls read a new copy of the type
     types = (NAKAYAMA_17_9, AlgebraType.create("A", 8, 3, 1))
     warm = {}
     for t in NAKAYAMA_17_9.diagram.labels:
         for atype in types:
             warm[atype, t] = outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30))
     for (atype, t), got in warm.items():
-        orthogonal._cover_table.cache_clear()
-        assert outcome(is_maximal_orthogonal(atype, Vertex(2, t), 30)) == got, (atype, t)
+        assert outcome(is_maximal_orthogonal(copy.copy(atype), Vertex(2, t), 30)) == got, (atype, t)
         assert got == per_label_certificate(atype, Vertex(2, t), 30), (atype, t)
 
 
-def test_an_equal_type_hits_the_table():
-    # the memo keys on (family, rank, s, n), so an equal type on a fresh diagram reads it too
+@pytest.fixture
+def cover_builds(monkeypatch):
+    """The types whose cover table is built from here on, as (family, rank, s, n), counted.
+
+    A build reads the type's orbit offsets once, so this counts those reads.
+    """
+    builds = Counter()
+    offsets = orthogonal._orbit_offsets
+
+    def counted(atype):
+        builds[atype.diagram.family, atype.diagram.rank, atype.s, atype.n] += 1
+        return offsets(atype)
+
+    monkeypatch.setattr(orthogonal, "_orbit_offsets", counted)
+    return builds
+
+
+def test_an_equal_type_builds_its_own_table(cover_builds):
+    # the memo compares type objects with is, so an equal type, on a fresh diagram or
+    # copied, builds its own table, once for all of its calls, and certifies alike
     made = AlgebraType.create("D", 6, Fraction(7, 3))
     direct = AlgebraType(Diagram("D", 6), 1, 21)
-    assert direct == made and direct is not made and direct.diagram is not made.diagram
-    orthogonal._cover_table.cache_clear()
-    first = is_maximal_orthogonal(made, Vertex(-2, SPINE_PLUS), 9)
-    second = is_maximal_orthogonal(direct, Vertex(-2, SPINE_PLUS), 9)
-    info = orthogonal._cover_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert first == second and first.gaps == second.gaps
+    copied = copy.copy(made)
+    assert direct == made == copied and direct.diagram is not made.diagram
+    assert len({id(made), id(direct), id(copied)}) == 3
+    certificates = [is_maximal_orthogonal(atype, Vertex(-2, SPINE_PLUS), 9)
+                    for atype in (made, made, direct, direct, copied, copied)]
+    assert cover_builds == Counter({("D", 6, 1, 21): 3})
+    first = certificates[0]
+    assert all(cert == first and cert.gaps == first.gaps for cert in certificates)
 
 
-def test_a_label_sweep_builds_each_table_once(monkeypatch):
-    builds = Counter()
-    build = orthogonal._cover_table.__wrapped__
-
-    def counted(*key):
-        builds[key] += 1
-        return build(*key)
-
-    monkeypatch.setattr(orthogonal, "_cover_table", lru_cache(maxsize=1)(counted))
-    types = [NAKAYAMA_17_9, AlgebraType.create("D", 4, 2, 3), AlgebraType.create("E", 6, 2, 2),
-             AlgebraType.create("D", 9, Fraction(5, 3))]
+def test_a_label_sweep_builds_each_table_once(cover_builds):
+    # a copy of the shared type, so that no earlier test's table is held for it
+    types = [copy.copy(NAKAYAMA_17_9), AlgebraType.create("D", 4, 2, 3),
+             AlgebraType.create("E", 6, 2, 2), AlgebraType.create("D", 9, Fraction(5, 3))]
     for atype in types:
         for t in atype.diagram.labels:
             for x, r in ((0, 0), (3, 1), (-4, 8), (1, 10**12)):
                 is_maximal_orthogonal(atype, Vertex(x, t), r)
-    assert builds == Counter(
+    assert cover_builds == Counter(
         {(at.diagram.family, at.diagram.rank, at.s, at.n): 1 for at in types}
     )
 
@@ -407,7 +419,7 @@ EVERY_TWIST = [
 def test_table_rows_match_omega_and_tau_applied_literally(atype):
     d = atype.diagram
     labels, p = d.labels, atype.period
-    period, width, full, rows = orthogonal._cover_table(d.family, d.rank, atype.s, atype.n)
+    period, width, full, rows = orthogonal._cover_table(atype)
     assert (period, width, full) == (p, len(labels), (1 << p * len(labels)) - 1)
     assert list(rows) == list(labels)
     for t in labels:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import takewhile
@@ -989,6 +990,39 @@ class TestKnitKernel:
                      lambda: hammock_plus(d, Vertex(0, 1))):
             with pytest.raises(RuntimeError, match="knitting on A5 overflowed its byte lanes"):
                 read()
+
+    def test_a_knit_past_the_byte_limit_fails_at_once(self):
+        # D1000: 1000 labels and h = 1998, so its lanes would take n * n * h bytes, about 2 GB
+        d = Diagram("D", 1000)
+        message = ("the hammocks of D1000 would need 1998000000 bytes to knit, "
+                   f"over the limit of {quiver._KNIT_BYTES_MAX}")
+        atype = AlgebraType(d, 1, d.m_delta)
+        reads = [lambda: d.hammock_column(1, 1), lambda: hammock_incidence(d),
+                 lambda: hammock_plus(d, Vertex(0, 1)), lambda: hammock_minus(d, Vertex(0, 1)),
+                 lambda: rd_oracle(atype, Vertex(0, 1)),
+                 lambda: is_maximal_orthogonal(atype, Vertex(0, 1), 2)]
+        tracemalloc.start()
+        try:
+            for read in reads:
+                with pytest.raises(ValueError) as info:
+                    read()
+                assert str(info.value) == message
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before a slice is knitted
+        assert (d.lanes, d.incidence, d.columns) == (None, None, {})
+
+    @pytest.mark.parametrize("family,rank,need", [("A", 287, 23_722_272), ("D", 289, 48_108_096)])
+    def test_the_deep_staircase_diagrams_knit_under_the_limit(self, family, rank, need):
+        # the largest diagrams of test_deep_staircase.py, interned, so that their knit is shared
+        d = quiver._diagram(family, rank)
+        n = len(d.labels)
+        assert n * n * d.h == need < quiver._KNIT_BYTES_MAX
+        lanes = d.lanes or quiver._knit_lanes(d)
+        # the limit bounds the lanes: no knitting takes more than h slices
+        assert len(lanes) == n and {len(lane) for lane in lanes} == {len(lanes[0])}
+        assert sum(map(len, lanes)) <= need and len(lanes[0]) % n == 0
 
     def test_one_knit_serves_every_reader(self, monkeypatch):
         # the diagram holds its lanes, so count the runs of the kernel

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import inspect
@@ -498,39 +499,45 @@ large_u_types = st.one_of(
      AlgebraType.create("E", 7, 5, 1), AlgebraType.create("E", 8, 2, 1)],
     ids=lambda at: at.describe(),
 )
-def test_closed_plan_divides_once_per_type(monkeypatch, at):
-    # every label, the D fork tips included, twice over, reads the one division of the plan
+def test_closed_plan_divides_once_per_type(at):
+    # every label, the D fork tips included, twice over, reads the one division of the plan;
+    # a copy is another type object, so the memo builds its plan anew
+    fresh = copy.copy(at)
+    with counted_divisions() as divisions:
+        reports = [rd_closed(fresh, t) for _ in range(2) for t in at.diagram.labels]
+    assert len(divisions) == 1
+    again = copy.copy(at)
+    assert reports == [rd_closed(again, t) for _ in range(2) for t in at.diagram.labels]
+
+
+@contextlib.contextmanager
+def counted_divisions():
+    """The divisions (m, n) that the closed form makes inside the block, in order."""
     divisions = []
 
     def counted(m, n):
         divisions.append((m, n))
         return weight_sequence(m, n)
 
-    monkeypatch.setattr(rigidity, "weight_sequence", counted)
-    _closed_plan.cache_clear()
-    reports = [rd_closed(at, t) for _ in range(2) for t in at.diagram.labels]
-    assert len(divisions) == 1
-    monkeypatch.undo()
-    _closed_plan.cache_clear()
-    assert reports == [rd_closed(at, t) for _ in range(2) for t in at.diagram.labels]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rigidity, "weight_sequence", counted)
+        yield divisions
 
 
 @given(st.lists(large_u_types, min_size=2, max_size=3, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_closed_plan_memo_is_invisible(types):
-    # cold: every label from a new plan, so no label reads a cell another filled
+    # cold: every label from a new plan, read through a new copy of the type, so no label
+    # reads a cell another filled
     cold = {}
     for at in types:
-        reports = []
-        for t in at.diagram.labels:
-            _closed_plan.cache_clear()
-            reports.append(rd_closed(at, t))
-        cold[at] = reports
+        cold[at] = [rd_closed(copy.copy(at), t) for t in at.diagram.labels]
     for at in types:
-        # warm: one type's labels in a row read one plan
-        _closed_plan.cache_clear()
-        assert [rd_closed(at, t) for t in at.diagram.labels] == cold[at]
-        assert _closed_plan.cache_info().misses == 1
+        # warm: one type object's labels in a row read one plan, built by one division
+        warm = copy.copy(at)
+        with counted_divisions() as divisions:
+            assert [rd_closed(warm, t) for t in at.diagram.labels] == cold[at]
+        assert len(divisions) == 1
     # evicted: alternate the types label by label, so each call replaces the plan
     evicted = {at: [] for at in types}
     for k in range(max(len(at.diagram.labels) for at in types)):
@@ -552,7 +559,7 @@ def test_closed_plan_keys_are_the_labels():
     )
     for at in types:
         d = at.diagram
-        plan = _closed_plan(d.family, d.rank, at.s, at.n)
+        plan = _closed_plan(at)
         assert plan.keys() == d.omega_steps.keys(), at.describe()
 
 
@@ -592,12 +599,8 @@ small_u_types = st.one_of(
 )
 
 
-def offsets_key(at):
-    return at.diagram.family, at.diagram.rank, at.s, at.n
-
-
 def offsets_memo_agrees(at):
-    return _orbit_offsets(*offsets_key(at)) == _orbit_offsets.__wrapped__(*offsets_key(at))
+    return _orbit_offsets(at) == _orbit_offsets.__wrapped__(at)
 
 
 @given(st.lists(small_u_types, min_size=2, max_size=3, unique=True))
@@ -606,17 +609,13 @@ def test_orbit_offsets_memo_is_invisible(types):
     def report(at, t):
         return rd_oracle(at, Vertex(0, t))
 
+    # cold: each label through a new copy of the type, which the memo builds anew
     cold = {}
     for at in types:
-        _orbit_offsets.cache_clear()
-        assert offsets_memo_agrees(at)
-        reports = []
-        for t in at.diagram.labels:
-            _orbit_offsets.cache_clear()
-            reports.append(report(at, t))
-        cold[at] = reports
+        assert offsets_memo_agrees(copy.copy(at))
+        cold[at] = [report(copy.copy(at), t) for t in at.diagram.labels]
     for at in types:
-        # warm: one type's labels in a row, each after the first a hit
+        # warm: one type object's labels in a row, each after the first a hit
         assert [report(at, t) for t in at.diagram.labels] == cold[at]
         assert offsets_memo_agrees(at)
     # evicted: alternate the types label by label, so each call replaces the entry
@@ -697,7 +696,7 @@ def test_cold_oracle_reads_at_most_2s_cells(monkeypatch, at):
         # the witness by literal steps, against every vertex of the hammock
         v, period = Vertex(0, t), at.period
         target = {(h.t, h.x % period) for h in hammock_minus(d, v)}
-        w, literal, offsets = omega(d, v), 1, _orbit_offsets(*offsets_key(at))
+        w, literal, offsets = omega(d, v), 1, _orbit_offsets(at)
         while not any((c, (w.x + dx) % period) in target for c, dx in offsets[w.t]):
             w, literal = omega(d, w), literal + 1
         read.clear()
@@ -742,7 +741,7 @@ def generator_walk(at, t):
 
 @pytest.mark.parametrize("at", REFERENCE_TYPES, ids=lambda at: at.describe())
 def test_orbit_offsets_match_the_generator_walk(at):
-    offsets = _orbit_offsets(*offsets_key(at))
+    offsets = _orbit_offsets(at)
     assert list(offsets) == list(at.diagram.labels)
     for t in at.diagram.labels:
         assert offsets[t] == generator_walk(at, t), t
@@ -751,7 +750,7 @@ def test_orbit_offsets_match_the_generator_walk(at):
 @given(small_u_types)
 @settings(max_examples=60, deadline=None)
 def test_orbit_offsets_match_the_generator_walk_on_small_types(at):
-    offsets = _orbit_offsets(*offsets_key(at))
+    offsets = _orbit_offsets(at)
     assert {t: generator_walk(at, t) for t in at.diagram.labels} == offsets
 
 
@@ -766,7 +765,7 @@ def test_orbit_offsets_check_no_label(monkeypatch):
 
     monkeypatch.setattr(Diagram, "check_label", counted)
     for at in REFERENCE_TYPES:
-        _orbit_offsets.__wrapped__(*offsets_key(at))
+        _orbit_offsets.__wrapped__(at)
     assert calls == []
 
 
